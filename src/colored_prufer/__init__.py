@@ -12,9 +12,7 @@ from .canonical import (
     canonicalize,
     full_ld_array,
     ld_array,
-    min_vertex,
     reconstruct,
-    sort_siblings,
 )
 from .codec import (
     PruneTrace,
@@ -95,7 +93,6 @@ __all__ = [
     "ld_array",
     "leaves",
     "load_color_table",
-    "min_vertex",
     "most_representative",
     "parse_corpus",
     "partition_by_isomorphism",
@@ -104,7 +101,6 @@ __all__ = [
     "random_trees",
     "reconstruct",
     "shape",
-    "sort_siblings",
     "subtree_poset",
     "subtree_vertices",
     "subtree_search",

@@ -4,21 +4,32 @@ The descriptor of a subtree rooted at ``v`` is an array of color arrays:
 a leaf is ``((),)``, and an inner vertex contributes the ascending color
 sequence of its sorted children followed by the concatenated descriptors
 of those children.  Arrays compare lexicographically with the
-shorter-strict-prefix rule, which is exactly Python's tuple ordering, so
-descriptors are stored as nested tuples and compared natively.
+shorter-strict-prefix rule, which is Python's tuple ordering.
+
+Computing the order materializes no descriptor.  Bottom-up, every vertex
+gets an interned id, hash-consed on the child colors plus the child ids
+of its sorted children, so equal ids mean equal descriptors.  Two
+same-colored siblings with different ids compare by walking one chain:
+their child-color arrays first, and when those are equal, the first pair
+of differing child ids.  This equals tuple order on the descriptors
+because a descriptor is a self-delimiting preorder code, never a proper
+prefix of another: two concatenations of descriptors differ first inside
+the first pair of parts that differ.
 
 The canonical order is the depth-first traversal that visits children in
 ascending (color, descriptor) order; remaining ties are broken by stored
 child order, which is safe because fully tied siblings head isomorphic
-subtrees.
+subtrees.  The full descriptor is the root color followed by every
+vertex's child-color array in that order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cmp_to_key
+from typing import Sequence
 
-from .errors import EmptyCandidateList, MalformedDescriptor
+from .errors import MalformedDescriptor
 from .trees import Color, ColoredArborescence, VertexId
 
 LdArray = tuple[tuple[Color, ...], ...]
@@ -37,81 +48,120 @@ class CanonicalOrder:
     inverse: tuple[VertexId, ...]
 
 
-def min_vertex(
-    candidates: Sequence[VertexId],
-    colors: Mapping[VertexId, Color] | Sequence[Color],
-    ld_cache: Mapping[VertexId, LdArray],
-) -> VertexId:
-    """Candidate minimizing (color, descriptor); first wins on full ties."""
-    if not candidates:
-        raise EmptyCandidateList("min_vertex needs at least one candidate")
-    best = candidates[0]
-    for v in candidates[1:]:
-        if colors[v] < colors[best]:
-            best = v
-        elif colors[v] == colors[best] and ld_cache[v] < ld_cache[best]:
-            best = v
-    return best
+def _canonical_state(tree: ColoredArborescence):
+    """Sorted children, their colors, and the canonical preorder.
 
+    ``sorted_children[v]`` lists the children of ``v`` in ascending
+    (color, descriptor) order and ``child_colors[v]`` their colors.
+    """
+    colors = tree.colors
+    color_of = colors.__getitem__
+    ident = [0] * tree.n  # interned descriptor id per vertex; leaves are 0
+    id_of = ident.__getitem__
+    interned: dict[tuple[int, ...], int] = {(): 0}
+    kid_colors: list[tuple[Color, ...]] = [()]  # per id
+    kid_keys: list[tuple[int, ...]] = [()]  # per id: child colors + child ids
 
-def sort_siblings(
-    candidates: Sequence[VertexId],
-    colors: Mapping[VertexId, Color] | Sequence[Color],
-    ld_cache: Mapping[VertexId, LdArray],
-) -> list[VertexId]:
-    """Ascending (color, descriptor) order; stable for full ties."""
-    return sorted(candidates, key=lambda v: (colors[v], ld_cache[v]))
+    def compare_ids(a: int, b: int) -> int:
+        while True:
+            colors_a, colors_b = kid_colors[a], kid_colors[b]
+            if colors_a != colors_b:
+                return -1 if colors_a < colors_b else 1
+            # Equal child colors, so the keys first differ at a child id.
+            for x, y in zip(kid_keys[a], kid_keys[b]):
+                if x != y:
+                    a, b = x, y
+                    break
 
+    def compare_vertices(u: VertexId, v: VertexId) -> int:
+        if colors[u] != colors[v]:
+            return -1 if colors[u] < colors[v] else 1
+        if ident[u] == ident[v]:
+            return 0
+        return compare_ids(ident[u], ident[v])
 
-def _ld_state(tree: ColoredArborescence):
-    """Descriptor cache plus sorted-children table, by reverse BFS."""
-    cache: dict[VertexId, LdArray] = {}
-    sorted_children: dict[VertexId, list[VertexId]] = {}
+    sorted_children = list(tree.children)
+    child_colors: list[tuple[Color, ...]] = [()] * tree.n
     for v in reversed(tree.bfs_order()):
-        kids = tree.children[v]
+        kids = sorted_children[v]
         if not kids:
-            cache[v] = ((),)
-            sorted_children[v] = []
             continue
-        ordered = sort_siblings(kids, tree.colors, cache)
-        arrays: list[tuple[Color, ...]] = [tuple(tree.colors[c] for c in ordered)]
-        for c in ordered:
-            arrays.extend(cache[c])
-        cache[v] = tuple(arrays)
-        sorted_children[v] = ordered
-    return cache, sorted_children
+        # Most inner vertices have one or two children; only larger
+        # families go through cmp_to_key.
+        if len(kids) == 1:
+            c = kids[0]
+            arrays = child_colors[v] = (colors[c],)
+            key = (colors[c], ident[c])
+        else:
+            if len(kids) == 2:
+                a, b = kids
+                if colors[a] > colors[b] or (
+                    colors[a] == colors[b]
+                    and ident[a] != ident[b]
+                    and compare_ids(ident[a], ident[b]) > 0
+                ):
+                    kids = sorted_children[v] = (b, a)
+            else:
+                kids = sorted_children[v] = tuple(
+                    sorted(kids, key=cmp_to_key(compare_vertices))
+                )
+            arrays = child_colors[v] = tuple(map(color_of, kids))
+            key = arrays + tuple(map(id_of, kids))
+        found = interned.get(key)
+        if found is None:
+            found = interned[key] = len(kid_colors)
+            kid_colors.append(arrays)
+            kid_keys.append(key)
+        ident[v] = found
+
+    inverse = []
+    stack = [tree.root]
+    while stack:
+        v = stack.pop()
+        inverse.append(v)
+        if sorted_children[v]:
+            stack += sorted_children[v][::-1]
+    return sorted_children, child_colors, inverse
 
 
-def ld_array(tree: ColoredArborescence) -> tuple[LdArray, dict[VertexId, LdArray]]:
-    """Descriptor of the whole tree plus the per-vertex cache."""
-    cache, _ = _ld_state(tree)
-    return cache[tree.root], cache
+def _ranks(inverse: Sequence[VertexId]) -> list[int]:
+    phi = [0] * len(inverse)
+    for rank, v in enumerate(inverse):
+        phi[v] = rank
+    return phi
 
 
 def full_ld_array(tree: ColoredArborescence) -> LdArray:
-    """Root-color singleton prepended to the tree descriptor.
+    """Root-color singleton followed by the tree descriptor.
 
     Unlike the plain descriptor this determines the colored tree up to
     isomorphism, because the root color is no longer omitted.
     """
-    root_part, _ = ld_array(tree)
-    return ((tree.colors[tree.root],),) + root_part
+    _, child_colors, inverse = _canonical_state(tree)
+    return ((tree.colors[tree.root],),) + tuple(map(child_colors.__getitem__, inverse))
+
+
+def ld_array(tree: ColoredArborescence) -> tuple[LdArray, dict[VertexId, LdArray]]:
+    """Descriptor of the whole tree plus the per-vertex cache.
+
+    Every subtree is a contiguous run of the preorder, so each cached
+    descriptor is a slice of the tree descriptor.
+    """
+    _, child_colors, inverse = _canonical_state(tree)
+    descriptor = tuple(map(child_colors.__getitem__, inverse))
+    phi = _ranks(inverse)
+    size = [1] * tree.n
+    for v in reversed(inverse):
+        for c in tree.children[v]:
+            size[v] += size[c]
+    cache = {v: descriptor[phi[v] : phi[v] + size[v]] for v in range(tree.n)}
+    return descriptor, cache
 
 
 def canonical_order(tree: ColoredArborescence) -> CanonicalOrder:
     """Depth-first ranks with children visited in sorted descriptor order."""
-    _, sorted_children = _ld_state(tree)
-    phi = [0] * tree.n
-    inverse = [0] * tree.n
-    rank = 0
-    stack = [tree.root]
-    while stack:
-        v = stack.pop()
-        phi[v] = rank
-        inverse[rank] = v
-        rank += 1
-        stack.extend(reversed(sorted_children[v]))
-    return CanonicalOrder(phi=tuple(phi), inverse=tuple(inverse))
+    _, _, inverse = _canonical_state(tree)
+    return CanonicalOrder(phi=tuple(_ranks(inverse)), inverse=tuple(inverse))
 
 
 def canonicalize(tree: ColoredArborescence) -> ColoredArborescence:
@@ -120,13 +170,10 @@ def canonicalize(tree: ColoredArborescence) -> ColoredArborescence:
     In the result, children tuples are ascending both by id and by
     canonical sibling order, and the root is vertex 0.
     """
-    order = canonical_order(tree)
-    _, sorted_children = _ld_state(tree)
-    children = tuple(
-        tuple(order.phi[c] for c in sorted_children[order.inverse[r]])
-        for r in range(tree.n)
-    )
-    colors = tuple(tree.colors[order.inverse[r]] for r in range(tree.n))
+    sorted_children, _, inverse = _canonical_state(tree)
+    phi = _ranks(inverse)
+    children = tuple(tuple(phi[c] for c in sorted_children[v]) for v in inverse)
+    colors = tuple(tree.colors[v] for v in inverse)
     return ColoredArborescence(
         n=tree.n, root=0, children=children, colors=colors, tree_id=tree.tree_id
     )
@@ -148,40 +195,27 @@ def reconstruct(full: Sequence[Sequence[Color]]) -> ColoredArborescence:
         )
     for inner in arrays:
         for c in inner:
-            if not isinstance(c, int) or c < 0:
+            if type(c) is not int or c < 0:
                 raise MalformedDescriptor(f"bad color entry {c!r}")
 
-    # Assign vertex ids in reading order of color entries; the array at
-    # position k+1 then lists the children of the vertex introduced k-th.
-    colors: list[Color] = []
-    id_arrays: list[list[int]] = []
-    for inner in arrays:
-        ids = []
-        for c in inner:
-            ids.append(len(colors))
-            colors.append(c)
-        id_arrays.append(ids)
-
-    children: list[list[int]] = [[] for _ in range(n)]
-    pending: list[list[int]] = [list(id_arrays[0])]
-    for ids in id_arrays[1:]:
-        while pending and not pending[0]:
-            pending.pop(0)
-        if not pending:
+    # Vertex ids follow the reading order of color entries.  After the
+    # root singleton, each array lists the children of the next vertex in
+    # preorder, which is the top of a stack of vertices awaiting theirs.
+    colors = [c for inner in arrays for c in inner]
+    children: list[tuple[int, ...]] = [()] * n
+    awaiting = [0]
+    next_id = 1
+    for inner in arrays[1:]:
+        if not awaiting:
             raise MalformedDescriptor("more arrays than vertices awaiting children")
-        current = pending[0].pop(0)
-        if ids:
-            children[current] = ids
-            pending.insert(0, list(ids))
-    while pending and not pending[0]:
-        pending.pop(0)
-    if pending:
+        ids = tuple(range(next_id, next_id + len(inner)))
+        next_id += len(inner)
+        children[awaiting.pop()] = ids
+        awaiting.extend(reversed(ids))
+    if awaiting:
         raise MalformedDescriptor("fewer arrays than vertices awaiting children")
 
     raw = ColoredArborescence(
-        n=n,
-        root=0,
-        children=tuple(tuple(kids) for kids in children),
-        colors=tuple(colors),
+        n=n, root=0, children=tuple(children), colors=tuple(colors)
     )
     return canonicalize(raw)

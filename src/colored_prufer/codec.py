@@ -73,12 +73,12 @@ def validate_code(code: Vcpc) -> None:
     for i, p in enumerate(code.parents[:-1]):
         if p is None:
             raise InvalidCode(f"sentinel at interior position {i}")
-        if not isinstance(p, int) or not 0 <= p < n:
+        if type(p) is not int or not 0 <= p < n:
             raise InvalidCode(f"parents entry {p!r} at position {i} out of range")
     if n >= 2 and code.parents[n - 2] != 0:
         raise InvalidCode("second-to-last parent entry must be the root rank 0")
     for c in code.colors:
-        if not isinstance(c, int) or c < 0:
+        if type(c) is not int or c < 0:
             raise InvalidCode(f"bad color entry {c!r}")
 
 

@@ -57,10 +57,6 @@ class ValidationError(ColoredPruferError, ValueError):
 
 # --- canonicalization --------------------------------------------------------
 
-class EmptyCandidateList(ColoredPruferError, ValueError):
-    pass
-
-
 class MalformedDescriptor(ColoredPruferError, ValueError):
     """A full search-array descriptor cannot describe any tree."""
 

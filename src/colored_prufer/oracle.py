@@ -7,6 +7,7 @@ independent angle; nothing in the production modules calls into it.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -154,9 +155,9 @@ def _random_tree(m: int, c: int, rng: random.Random, tree_id: str | None = None)
         adjacency[v].append(u)
     edges: list[tuple[int, int]] = []
     seen = {0}
-    queue = [0]
+    queue = deque([0])
     while queue:
-        u = queue.pop(0)
+        u = queue.popleft()
         for v in adjacency[u]:
             if v not in seen:
                 seen.add(v)

@@ -185,6 +185,8 @@ def subtree_vertices(tree: ColoredArborescence, apex: VertexId) -> set[VertexId]
 #   {"id": "<str>", "root": <int optional>, "edges": [[p, c], ...],
 #    "colors": {"<vid>": <int or name>, ...}}
 # Color values may be names when a color-table (JSON map name -> int) is given.
+# Integers are checked with ``type(x) is int``: JSON true/false load as bool,
+# a subclass of int, and are rejected.
 
 
 def tree_to_json(tree: ColoredArborescence) -> dict:
@@ -204,12 +206,15 @@ def write_corpus(trees: Iterable[ColoredArborescence], fp: IO[str]) -> None:
 
 def load_color_table(fp: IO[str]) -> dict[str, int]:
     """Read a JSON map of color name -> nonnegative integer."""
-    table = json.load(fp)
+    try:
+        table = json.load(fp)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.lineno, f"invalid JSON ({exc.msg})") from exc
     if not isinstance(table, dict) or any(
-        not isinstance(k, str) or not isinstance(v, int) or v < 0
+        not isinstance(k, str) or type(v) is not int or v < 0
         for k, v in table.items()
     ):
-        raise ValueError("color table must map names to nonnegative integers")
+        raise ParseError(1, "color table must map names to nonnegative integers")
     return table
 
 
@@ -230,7 +235,7 @@ def _tree_from_json(obj: dict, line: int, color_table: Mapping[str, int] | None)
         if (
             not isinstance(e, list)
             or len(e) != 2
-            or not all(isinstance(x, int) for x in e)
+            or not all(type(x) is int for x in e)
         ):
             raise ParseError(line, f"bad edge entry {e!r}")
         edges.append((e[0], e[1]))
@@ -245,12 +250,12 @@ def _tree_from_json(obj: dict, line: int, color_table: Mapping[str, int] | None)
             if color_table is None or value not in color_table:
                 raise ParseError(line, f"unknown color name {value!r}")
             value = color_table[value]
-        if not isinstance(value, int) or value < 0:
+        if type(value) is not int or value < 0:
             raise ParseError(line, f"bad color {value!r} for vertex {key}")
         colors[vid] = value
 
     root = obj.get("root")
-    if root is not None and not isinstance(root, int):
+    if root is not None and type(root) is not int:
         raise ParseError(line, '"root" must be an integer')
     tree_id = obj.get("id")
     if tree_id is not None and not isinstance(tree_id, str):

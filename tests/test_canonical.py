@@ -11,11 +11,9 @@ from colored_prufer import (
     canonicalize,
     full_ld_array,
     ld_array,
-    min_vertex,
     reconstruct,
-    sort_siblings,
 )
-from colored_prufer.errors import EmptyCandidateList, MalformedDescriptor
+from colored_prufer.errors import MalformedDescriptor
 from colored_prufer.oracle import random_trees
 
 from golden import DESCRIPTOR_FULL, DESCRIPTOR_LD, ORDERING_RANKS, descriptor_tree, ordering_tree
@@ -33,63 +31,88 @@ def _permuted(tree, rng):
     return build_tree(edges, colors)
 
 
-# --- min_vertex / sort_siblings ---------------------------------------------
+def _materialized(tree):
+    """Reference per-vertex descriptors, built by concatenation.
+
+    Quadratic in depth, but a direct transcription of the definition:
+    children sorted on (color, descriptor) as tuples.
+    """
+    cache = {}
+    for v in reversed(tree.bfs_order()):
+        kids = sorted(tree.children[v], key=lambda c: (tree.colors[c], cache[c]))
+        arrays = [tuple(tree.colors[c] for c in kids)]
+        for c in kids:
+            arrays.extend(cache[c])
+        cache[v] = tuple(arrays)
+    return cache
 
 
-def test_min_vertex_prefers_smaller_color():
-    colors = {10: 3, 11: 1}
-    cache = {10: ((),), 11: ((),)}
-    assert min_vertex([10, 11], colors, cache) == 11
+def _assert_matches_materialized(tree):
+    cache = _materialized(tree)
+    inverse, stack = [], [tree.root]
+    while stack:
+        v = stack.pop()
+        inverse.append(v)
+        kids = sorted(tree.children[v], key=lambda c: (tree.colors[c], cache[c]))
+        stack.extend(reversed(kids))
+    assert canonical_order(tree).inverse == tuple(inverse)
+    assert full_ld_array(tree) == ((tree.colors[tree.root],),) + cache[tree.root]
+    assert ld_array(tree) == (cache[tree.root], cache)
 
 
-def test_min_vertex_single_candidate():
-    assert min_vertex([7], {7: 0}, {7: ((),)}) == 7
+def _path(n):
+    return build_tree([(v, v + 1) for v in range(n - 1)], {v: 0 for v in range(n)})
 
 
-def test_min_vertex_breaks_color_tie_by_descriptor():
-    colors = {1: 5, 2: 5}
-    cache = {1: ((0, 1), (), ()), 2: ((0, 0, 2), (), (), ())}
-    assert min_vertex([1, 2], colors, cache) == 2  # (0,0,2) < (0,1)
+def _two_leg_spider(leg, odd_tip_first):
+    """Monochrome root with two legs of ``leg`` vertices differing only at one tip."""
+    first, second = range(1, leg + 1), range(leg + 1, 2 * leg + 1)
+    edges = [(0, first[0]), (0, second[0])]
+    edges += [(v, v + 1) for v in first[:-1]] + [(v, v + 1) for v in second[:-1]]
+    colors = {v: 0 for v in range(2 * leg + 1)}
+    colors[first[-1] if odd_tip_first else second[-1]] = 1
+    return build_tree(edges, colors)
 
 
-def test_min_vertex_full_tie_keeps_first():
-    colors = {4: 1, 9: 1}
-    cache = {4: ((),), 9: ((),)}
-    assert min_vertex([9, 4], colors, cache) == 9
+def _caterpillar(spine, seed):
+    rng = random.Random(seed)
+    edges = [(v, v + 1) for v in range(spine - 1)]
+    colors = {v: 0 for v in range(spine)}
+    for v in range(spine):
+        for _ in range(rng.randint(0, 3)):
+            leaf = len(colors)
+            edges.append((v, leaf))
+            colors[leaf] = rng.randint(0, 1)
+    return build_tree(edges, colors)
 
 
-def test_min_vertex_empty_candidates():
-    with pytest.raises(EmptyCandidateList):
-        min_vertex([], {}, {})
+# --- differential checks against materialized descriptors ---------------------
 
 
-def test_sort_siblings_color_then_descriptor_stable():
-    colors = {1: 2, 2: 1, 3: 1}
-    cache = {1: ((),), 2: ((),), 3: ((),)}
-    assert sort_siblings([1, 2, 3], colors, cache) == [2, 3, 1]
-    assert sort_siblings([2, 3, 1], colors, cache) == [2, 3, 1]
-    assert sort_siblings([], {}, {}) == []
+@pytest.mark.parametrize("colors", [1, 2])
+def test_order_and_descriptor_match_materialized_on_random_trees(colors):
+    for t in random_trees(60, 150, colors, seed=20 + colors):
+        _assert_matches_materialized(t)
 
 
-def test_sort_siblings_matches_repeated_min_extraction():
-    rng = random.Random(0)
-    for _ in range(50):
-        verts = list(range(rng.randint(1, 8)))
-        colors = {v: rng.randint(0, 2) for v in verts}
-        cache = {
-            v: tuple(
-                tuple(rng.randint(0, 2) for _ in range(rng.randint(0, 2)))
-                for _ in range(rng.randint(1, 3))
-            )
-            for v in verts
-        }
-        expected = []
-        pool = verts[:]
-        while pool:
-            m = min_vertex(pool, colors, cache)
-            expected.append(m)
-            pool.remove(m)
-        assert sort_siblings(verts, colors, cache) == expected
+@pytest.mark.parametrize("odd_tip_first", [True, False])
+def test_long_legs_differing_at_tips_match_materialized(odd_tip_first):
+    spider = _two_leg_spider(2000, odd_tip_first)
+    _assert_matches_materialized(spider)
+    # The leg with the uniform tip sorts first: (0,) < (1,) at the tips.
+    odd_leg_head = 1 if odd_tip_first else 2001
+    assert canonical_order(spider).phi[odd_leg_head] == 2001
+
+
+def test_long_path_and_caterpillar_match_materialized():
+    _assert_matches_materialized(_path(4000))
+    _assert_matches_materialized(_caterpillar(300, seed=21))
+
+
+def test_monochrome_star_keeps_stored_order_on_full_ties():
+    star = build_tree([(0, leaf) for leaf in range(1, 1001)], {v: 0 for v in range(1001)})
+    _assert_matches_materialized(star)
+    assert canonical_order(star).inverse == tuple(range(1001))
 
 
 # --- descriptors -------------------------------------------------------------
@@ -172,10 +195,9 @@ def test_canonical_order_is_dfs_with_sorted_siblings():
                 if order.phi[v] <= order.phi[u] < order.phi[v] + sizes[v]
             )
             # subtree ranks form a contiguous interval (depth-first order)
-            kids = sort_siblings(t.children[v], t.colors, cache)
             assert ranks == list(range(order.phi[v], order.phi[v] + sizes[v]))
-            pairs = [(t.colors[c], cache[c]) for c in kids]
-            assert pairs == sorted(pairs)
+            kids = sorted(t.children[v], key=lambda c: (t.colors[c], cache[c]))
+            assert [order.phi[c] for c in kids] == sorted(order.phi[c] for c in kids)
             for c in t.children[v]:
                 assert order.phi[c] > order.phi[v]
 
@@ -209,6 +231,11 @@ def test_reconstruct_roundtrip_isomorphism():
         assert brute_canonical(reconstruct(full_ld_array(t))) == brute_canonical(t)
 
 
+def test_reconstruct_is_exact_inverse_on_deep_trees():
+    for t in (_path(4000), _two_leg_spider(2000, True), _two_leg_spider(2000, False)):
+        assert reconstruct(full_ld_array(t)) == canonicalize(t)
+
+
 def test_reconstruct_rejects_malformed():
     with pytest.raises(MalformedDescriptor):
         reconstruct(())
@@ -220,3 +247,7 @@ def test_reconstruct_rejects_malformed():
         reconstruct(((1,), (), (2,)))  # child group after leaf root
     with pytest.raises(MalformedDescriptor):
         reconstruct(((1,), (-2,), ()))
+    with pytest.raises(MalformedDescriptor):
+        reconstruct(((True,), ()))  # JSON true is not a color
+    with pytest.raises(MalformedDescriptor):
+        reconstruct(((1,), (False,), ()))

@@ -198,6 +198,19 @@ def test_color_table_flag(cli, tmp_path):
     assert json.loads(out)["colors"] == [0, 2]
 
 
+def test_json_booleans_exit_2(cli, tmp_path):
+    code, _, err = cli(["encode"], '{"edges": [[0,1]], "colors": {"0": 0, "1": true}}\n')
+    assert code == 2 and "error" in err
+    bad = json.dumps({"parents": [False, None], "colors": [0, 0], "n": 2})
+    code, _, err = cli(["decode"], bad + "\n")
+    assert code == 2 and "error" in err
+    table = tmp_path / "colors.json"
+    table.write_text('{"blue": true}')
+    line = '{"edges": [], "colors": {"0": "blue"}}\n'
+    code, _, err = cli(["encode", "-", "--color-table", str(table)], line)
+    assert code == 2 and "error" in err
+
+
 def test_console_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "colored_prufer", "gen", "--m", "2", "--n", "1",

@@ -171,6 +171,14 @@ def test_decode_rejects_invalid_codes():
         decode(Vcpc(parents=(0, 0), colors=(0, 0), n=2))  # no sentinel
 
 
+def test_code_rejects_json_booleans_as_integers():
+    assert Vcpc.from_json({"parents": [0, None], "colors": [1, 0], "n": 2}).n == 2
+    with pytest.raises(InvalidCode):
+        Vcpc.from_json({"parents": [False, None], "colors": [1, 0], "n": 2})
+    with pytest.raises(InvalidCode):
+        Vcpc.from_json({"parents": [0, None], "colors": [True, 0], "n": 2})
+
+
 def test_decode_strict_rejects_noncanonical_code():
     # structure decodes, but rank 1 would have to carry the smaller color
     code = Vcpc(parents=(0, 0, None), colors=(1, 0, 1), n=3)

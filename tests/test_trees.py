@@ -9,6 +9,7 @@ import pytest
 from colored_prufer import (
     build_tree,
     leaves,
+    load_color_table,
     parse_corpus,
     tree_to_json,
     write_corpus,
@@ -151,6 +152,27 @@ def test_parse_corpus_color_table():
     assert t.colors == (0, 2)
     with pytest.raises(ParseError):
         parse_corpus(io.StringIO(line), color_table={"blue": 0})
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"edges": [[0, True]], "colors": {"0": 0, "1": 0}},
+        {"edges": [[0, 1]], "colors": {"0": 0, "1": False}},
+        {"root": False, "edges": [[0, 1]], "colors": {"0": 0, "1": 0}},
+    ],
+    ids=["edge", "color", "root"],
+)
+def test_parse_corpus_rejects_json_booleans_as_integers(obj):
+    with pytest.raises(ParseError):
+        parse_corpus(io.StringIO(json.dumps(obj)))
+
+
+def test_load_color_table_rejects_booleans_and_bad_json():
+    assert load_color_table(io.StringIO('{"blue": 0}')) == {"blue": 0}
+    for text in ('{"blue": true}', '{"blue": -1}', "[0]", "{nope"):
+        with pytest.raises(ParseError):
+            load_color_table(io.StringIO(text))
 
 
 def test_parse_corpus_bytes_and_root_check():
