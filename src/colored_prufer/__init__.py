@@ -33,7 +33,6 @@ from .corpus import (
 )
 from .matching import (
     adjacent_pairs,
-    branch_partition,
     code_adjacent,
     codes_isomorphic,
     color_matching_index_sets,
@@ -72,7 +71,6 @@ __all__ = [
     "PruneTrace",
     "Vcpc",
     "adjacent_pairs",
-    "branch_partition",
     "brute_canonical",
     "build_tree",
     "canonical_order",

@@ -2,8 +2,7 @@
 
 Commands read trees (or codes) one JSON object per line from a path or
 stdin and write one JSON object per line to stdout.  Exit codes: 0
-success, 2 input error, 3 incomplete poset under --strict-poset, 4 empty
-query result.
+success, 2 input error, 4 empty query result.
 """
 
 from __future__ import annotations
@@ -18,13 +17,8 @@ from . import corpus as corpus_mod
 from . import oracle
 from .canonical import full_ld_array
 from .codec import Vcpc, decode, encode_canonical
-from .errors import (
-    CandidateExplosion,
-    ColoredPruferError,
-    InvalidCode,
-    NoEligibleClass,
-)
-from .matching import DEFAULT_CANDIDATE_CAP, subtree_search, undirected_subtree
+from .errors import ColoredPruferError, InvalidCode, NoEligibleClass
+from .matching import subtree_search, undirected_subtree
 from .trees import (
     ColoredArborescence,
     iter_corpus,
@@ -35,7 +29,6 @@ from .trees import (
 
 EXIT_OK = 0
 EXIT_INPUT = 2
-EXIT_INCOMPLETE = 3
 EXIT_EMPTY = 4
 
 
@@ -129,20 +122,17 @@ def cmd_iso_classes(args) -> int:
 
 def cmd_poset(args) -> int:
     classes = corpus_mod.partition_by_isomorphism(list(_read_trees(args)))
-    poset = corpus_mod.subtree_poset(
-        classes, candidate_cap=args.cap, workers=args.workers
-    )
+    poset = corpus_mod.subtree_poset(classes, workers=args.workers)
     for (a, b), witness in sorted(poset.below.items()):
         _emit({"below": a, "above": b, "witness": list(witness)})
-    _emit({"unknown_pairs": [list(pair) for pair in sorted(poset.unknown)]})
-    if args.strict_poset and poset.unknown:
-        return EXIT_INCOMPLETE
+    # Every pair is decided; the trailer stays part of the output format.
+    _emit({"unknown_pairs": []})
     return EXIT_OK
 
 
 def cmd_most_common(args) -> int:
     classes = corpus_mod.partition_by_isomorphism(list(_read_trees(args)))
-    poset = corpus_mod.subtree_poset(classes, candidate_cap=args.cap)
+    poset = corpus_mod.subtree_poset(classes)
     try:
         best, count = corpus_mod.most_representative(classes, poset, args.max_order)
     except NoEligibleClass as exc:
@@ -170,11 +160,7 @@ def cmd_subtree(args) -> int:
     large = _read_single_tree(args.host)
     code_small, _ = encode_canonical(small)
     code_large, _ = encode_canonical(large)
-    try:
-        result = subtree_search(code_small, code_large, candidate_cap=args.cap)
-    except CandidateExplosion as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    result = subtree_search(code_small, code_large)
     _emit(
         {
             "is_subtree": result.witness is not None,
@@ -188,7 +174,7 @@ def cmd_subtree(args) -> int:
 def cmd_subtree_undirected(args) -> int:
     small = _read_single_tree(args.query)
     large = _read_single_tree(args.host)
-    verdict = undirected_subtree(small, large, candidate_cap=args.cap)
+    verdict = undirected_subtree(small, large)
     _emit({"is_subtree": verdict})
     return EXIT_OK
 
@@ -201,7 +187,7 @@ def cmd_bench(args) -> int:
     t0 = time.perf_counter()
     classes = corpus_mod.partition_by_isomorphism(trees)
     t1 = time.perf_counter()
-    poset = corpus_mod.subtree_poset(classes, candidate_cap=args.cap)
+    poset = corpus_mod.subtree_poset(classes)
     t2 = time.perf_counter()
     code_relation = poset.relation()
 
@@ -219,8 +205,7 @@ def cmd_bench(args) -> int:
     rep_tree = {cls.class_id: decode(cls.representative) for cls in classes}
     sizes = {cls.class_id: cls.representative.n for cls in classes}
     ids = sorted(rep_tree)
-    up = {a: {a} for a in ids}
-    down = {a: {a} for a in ids}
+    closure = corpus_mod._Closure(ids)
     pairs_checked = 0
     pairs_skipped = 0
     candidates = sorted(
@@ -228,16 +213,13 @@ def cmd_bench(args) -> int:
          if a != b and sizes[a] < sizes[b])
     )
     for _, a, b in candidates:
-        if b in up[a]:
+        if closure.has(a, b):
             pairs_skipped += 1
             continue
         pairs_checked += 1
-        if oracle.has_embedding(rep_tree[a], rep_tree[b], ordered=True):
-            for x in list(down[a]):
-                for y in list(up[b]):
-                    up[x].add(y)
-                    down[y].add(x)
-    oracle_relation = {(a, b) for a in ids for b in up[a]}
+        if oracle.has_embedding(rep_tree[a], rep_tree[b], ordered=False):
+            closure.add(a, b)
+    oracle_relation = {(a, b) for a in ids for b in closure.up[a]}
     t5 = time.perf_counter()
 
     vcpc_members = sorted(sorted(cls.member_ids) for cls in classes)
@@ -249,7 +231,6 @@ def cmd_bench(args) -> int:
         "partition_s": round(t1 - t0, 4),
         "poset_s": round(t2 - t1, 4),
         "relation_size": len(code_relation),
-        "unknown_pairs": len(poset.unknown),
     }
     report["oracle"] = {
         "partition_s": round(t4 - t3, 4),
@@ -311,15 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poset", help="subtree partial order between classes")
     _add_input(p)
-    p.add_argument("--cap", type=_positive, default=DEFAULT_CANDIDATE_CAP)
     p.add_argument("--workers", type=_positive, default=1)
-    p.add_argument("--strict-poset", action="store_true")
     p.set_defaults(func=cmd_poset)
 
     p = sub.add_parser("most-common", help="structure contained in most trees")
     _add_input(p)
     p.add_argument("--max-order", type=_positive, default=20)
-    p.add_argument("--cap", type=_positive, default=DEFAULT_CANDIDATE_CAP)
     p.set_defaults(func=cmd_most_common)
 
     p = sub.add_parser("gen", help="seeded random corpus")
@@ -332,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("subtree", help="is tree A a sub-arborescence of tree B")
     p.add_argument("query")
     p.add_argument("host")
-    p.add_argument("--cap", type=_positive, default=DEFAULT_CANDIDATE_CAP)
     p.set_defaults(func=cmd_subtree)
 
     p = sub.add_parser(
@@ -340,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("query")
     p.add_argument("host")
-    p.add_argument("--cap", type=_positive, default=DEFAULT_CANDIDATE_CAP)
     p.set_defaults(func=cmd_subtree_undirected)
 
     p = sub.add_parser("bench", help="compare code path against oracle path")
@@ -348,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--c", type=_positive, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=_positive, default=DEFAULT_CANDIDATE_CAP)
     p.set_defaults(func=cmd_bench)
 
     return parser

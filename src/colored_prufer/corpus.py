@@ -1,9 +1,11 @@
 """Corpus analytics: isomorphism classes, subtree poset, common structure.
 
-The poset is stored transitively closed, with a witness index set per
-relation pair (composed along the chain for pairs that were skipped via
-transitivity).  Pairs whose verdict hit the candidate cap are kept aside
-as "unknown" and never enter the closure.
+The poset is the exact sub-arborescence order between class
+representatives (see :mod:`colored_prufer.matching`), stored transitively
+closed with a witness per relation pair: the representative's prune steps
+mapped to the larger representative's, composed along the chain for pairs
+skipped via transitivity.  Every pair is decided, so the poset is never
+incomplete.
 """
 
 from __future__ import annotations
@@ -13,9 +15,12 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .codec import Vcpc, encode_canonical
-from .errors import CandidateExplosion, NoEligibleClass
-from .matching import DEFAULT_CANDIDATE_CAP, subtree_search
+from .errors import NoEligibleClass
+from .matching import Rooted, SubtreeTable
 from .trees import ColoredArborescence
+
+# Jobs per worker task when the poset runs on several processes.
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -32,14 +37,13 @@ class IsoClass:
 class CorpusPoset:
     """Sub-arborescence order between class representatives.
 
-    ``below[(a, b)]`` holds a witness index set embedding a's
-    representative into b's; the relation is reflexive and transitively
-    closed.  ``unknown`` lists pairs aborted by the candidate cap.
+    ``below[(a, b)]`` holds a witness embedding a's representative into
+    b's: the prune step of b's code that takes each prune step of a's.
+    The relation is reflexive and transitively closed.
     """
 
     classes: list[IsoClass]
     below: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
-    unknown: list[tuple[int, int]] = field(default_factory=list)
 
     def relation(self) -> set[tuple[int, int]]:
         return set(self.below)
@@ -73,23 +77,18 @@ def _compose(first: Sequence[int], second: Sequence[int]) -> tuple[int, ...]:
 
 
 class _Closure:
-    """Transitively closed relation with a witness per stored pair."""
+    """Reflexive, transitively closed relation over a set of ids."""
 
     def __init__(self, ids: Iterable[int]):
         members = list(ids)
         self.up: dict[int, set[int]] = {i: {i} for i in members}
         self.down: dict[int, set[int]] = {i: {i} for i in members}
-        self.witness: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def seed_reflexive(self, class_id: int, n: int) -> None:
-        self.witness[(class_id, class_id)] = tuple(range(n))
 
     def has(self, a: int, b: int) -> bool:
         return b in self.up[a]
 
-    def add(self, a: int, b: int, witness: tuple[int, ...]) -> None:
-        if self.has(a, b):
-            return
+    def add(self, a: int, b: int) -> list[tuple[int, int]]:
+        """Insert a <= b with everything it implies; return the new pairs."""
         pairs = [
             (x, y)
             for x in self.down[a]
@@ -97,41 +96,47 @@ class _Closure:
             if y not in self.up[x]
         ]
         for x, y in pairs:
-            w = witness
-            if x != a:
-                w = _compose(self.witness[(x, a)], w)
-            if y != b:
-                w = _compose(w, self.witness[(b, y)])
             self.up[x].add(y)
             self.down[y].add(x)
-            self.witness[(x, y)] = w
+        return pairs
 
 
-def _pair_verdict(args):
-    a, b, rep_a, rep_b, cap = args
-    try:
-        result = subtree_search(rep_a, rep_b, candidate_cap=cap)
-    except CandidateExplosion:
-        return a, b, None, True
-    return a, b, result.witness, False
+def _verdicts(jobs, table: SubtreeTable, rooted: dict[int, Rooted]) -> list:
+    """Witness or ``None`` for each ``(a, rep_a, b, rep_b)`` job.
+
+    ``rooted`` holds the representatives already interned into ``table``,
+    by class id.
+    """
+    out = []
+    for a, rep_a, b, rep_b in jobs:
+        for class_id, rep in ((a, rep_a), (b, rep_b)):
+            if class_id not in rooted:
+                rooted[class_id] = table.intern_code(rep)
+        out.append(table.search(rooted[a], rooted[b])[0])
+    return out
 
 
-def subtree_poset(
-    classes: Sequence[IsoClass],
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-    workers: int = 1,
-) -> CorpusPoset:
+def _chunk_verdicts(jobs) -> list:
+    """Worker entry point: one table per chunk of jobs."""
+    return _verdicts(jobs, SubtreeTable(), {})
+
+
+def subtree_poset(classes: Sequence[IsoClass], workers: int = 1) -> CorpusPoset:
     """Compute the full below-relation between class representatives.
 
     Pairs are scheduled by ascending vertex-count gap so that both legs
     of any transitive chain are committed before the pair they imply;
-    implied pairs are skipped and receive composed witnesses.  The
-    resulting relation is independent of scheduling and worker count.
+    implied pairs are skipped and receive composed witnesses.  Run
+    sequentially, every pair is decided on one subtree table, so each
+    pair of distinct rooted subtrees is decided once for the whole
+    corpus; each worker chunk builds its own table.  The relation and the
+    witnesses are independent of scheduling and worker count.
     """
     poset = CorpusPoset(classes=list(classes))
     closure = _Closure(cls.class_id for cls in classes)
+    below = poset.below
     for cls in classes:
-        closure.seed_reflexive(cls.class_id, cls.representative.n)
+        below[(cls.class_id, cls.class_id)] = tuple(range(cls.representative.n))
 
     reps = {cls.class_id: cls.representative for cls in classes}
     candidates = [
@@ -143,6 +148,8 @@ def subtree_poset(
     ]
     candidates.sort()
 
+    table = SubtreeTable()
+    rooted: dict[int, Rooted] = {}
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         start = 0
@@ -156,22 +163,26 @@ def subtree_poset(
                 for _, a, b in candidates[start:stop]
                 if not closure.has(a, b)
             ]
-            jobs = [(a, b, reps[a], reps[b], candidate_cap) for a, b in wave]
+            jobs = [(a, reps[a], b, reps[b]) for a, b in wave]
             if pool is not None:
-                outcomes = list(pool.map(_pair_verdict, jobs, chunksize=64))
+                chunks = [jobs[k : k + _CHUNK] for k in range(0, len(jobs), _CHUNK)]
+                witnesses = [w for part in pool.map(_chunk_verdicts, chunks) for w in part]
             else:
-                outcomes = [_pair_verdict(job) for job in jobs]
-            for a, b, witness, exploded in outcomes:
-                if exploded:
-                    poset.unknown.append((a, b))
-                elif witness is not None:
-                    closure.add(a, b, witness)
+                witnesses = _verdicts(jobs, table, rooted)
+            for (a, b), witness in zip(wave, witnesses):
+                if witness is None:
+                    continue
+                for x, y in closure.add(a, b):
+                    w = witness
+                    if x != a:
+                        w = _compose(below[(x, a)], w)
+                    if y != b:
+                        w = _compose(w, below[(b, y)])
+                    below[(x, y)] = w
             start = stop
     finally:
         if pool is not None:
             pool.shutdown()
-
-    poset.below = dict(closure.witness)
     return poset
 
 

@@ -1,11 +1,28 @@
 """Code-level predicates: isomorphism, adjacency, and subtree matching.
 
 Two colored arborescences are isomorphic exactly when their codes are
-identical arrays.  One is isomorphic to a sub-arborescence of the other
-exactly when some ascending index set into the larger code matches the
-smaller code's colors, preserves the shape of the selected parent
-entries, and passes the incident-edge check for every parent-child pair
-of the smaller tree.
+identical arrays.
+
+Sub-arborescence containment is decided exactly, on the code rows.  The
+parents row spells out the prune-step tree (see below), and children are
+always pruned before their parents, so one left-to-right pass gives every
+prune step a hash-consed id for its rooted subtree, ``(color, sorted child
+ids)``.  A memo over pairs of ids then answers whether one subtree embeds
+in another with root on root: colors, sizes and out-degrees must allow
+it, and the children must match injectively (bipartite matching by
+augmenting paths, after every child pair is decided).  The witness names,
+per prune step of the smaller code, the prune step of the larger code
+that takes it.  This is the unordered subtree question of Shamir & Tsur
+(J. Algorithms 1999) for colored rooted trees.
+
+``ordered=True`` selects the index-set search instead: some ascending
+index set into the larger code must match the smaller code's colors,
+preserve the shape of the selected parent entries, and pass the
+incident-edge check for every parent-child pair of the smaller tree.  It
+decides only embeddings that are monotone in canonical order, the
+ordered inclusion question of Kilpeläinen & Mannila (SIAM J. Comput.
+1995), misses embeddings that reverse it, and is exponential on
+monochrome brooms; ``candidate_cap`` bounds it.
 
 Adjacency inside a code: the parent of the vertex pruned at step ``a``
 is the vertex pruned at the first later step ``b`` whose own parent
@@ -18,16 +35,29 @@ them drops below ``parents[i_a]``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .codec import Vcpc, encode_canonical
+from .codec import Vcpc
 from .errors import CandidateExplosion, IndexOutOfRange, SentinelCompared
-from .trees import ColoredArborescence, VertexId, build_tree, subtree_vertices
+from .trees import ColoredArborescence
 
 DEFAULT_CANDIDATE_CAP = 10**6
+
+
+class Rooted(NamedTuple):
+    """A rooted tree interned into a :class:`SubtreeTable`.
+
+    Per prune step (or vertex, children before parents, the root last):
+    its subtree id and its child steps; ``firsts`` maps each distinct id
+    to the first step that has it.
+    """
+
+    ids: list[int]
+    kids: list[Sequence[int]]
+    firsts: dict[int, int]
 
 
 def codes_isomorphic(p: Vcpc, q: Vcpc) -> bool:
@@ -43,13 +73,6 @@ def shape(xs: Sequence[int]) -> tuple[int, ...]:
     """
     rank = {v: k for k, v in enumerate(sorted(set(xs)))}
     return tuple(rank[x] for x in xs)
-
-
-def branch_partition(
-    tree: ColoredArborescence, apex: VertexId
-) -> list[set[VertexId]]:
-    """Partition of the apex's proper descendants into one block per child."""
-    return [subtree_vertices(tree, child) for child in tree.children[apex]]
 
 
 def code_adjacent(p: Vcpc, i: int, j: int) -> bool:
@@ -68,22 +91,273 @@ def code_adjacent(p: Vcpc, i: int, j: int) -> bool:
     return all(p.parents[k] >= pi for k in range(i + 1, j))
 
 
-def adjacent_pairs(parents: Sequence[int | None]) -> list[tuple[int, int]]:
-    """All (child step, parent step) pairs encoded in a parents row.
+def prune_children(parents: Sequence[int | None]) -> list[Sequence[int]]:
+    """Child steps of every prune step, ascending, from a parents row.
 
-    One pair per edge: each position's parent is pruned at its next
-    smaller entry, with the terminal sentinel acting as minus infinity.
-    Computed by one left-to-right monotonic-stack scan.
+    Each position's parent is pruned at its next smaller entry, with the
+    terminal sentinel acting as minus infinity.  Computed by one
+    left-to-right monotonic-stack scan; the last step is the root.
     """
-    pairs: list[tuple[int, int]] = []
+    kids: list[Sequence[int]] = []
     stack: list[int] = []
     for j, value in enumerate(parents):
-        key = -1 if value is None else value
-        while stack and parents[stack[-1]] > key:
-            pairs.append((stack.pop(), j))
+        if value is None:
+            value = -1
+        if stack and parents[stack[-1]] > value:
+            mine = []
+            while stack and parents[stack[-1]] > value:
+                mine.append(stack.pop())
+            mine.reverse()
+            kids.append(mine)
+        else:
+            kids.append(())
         stack.append(j)
-    pairs.sort()
-    return pairs
+    return kids
+
+
+def adjacent_pairs(parents: Sequence[int | None]) -> list[tuple[int, int]]:
+    """All (child step, parent step) pairs encoded in a parents row, sorted.
+
+    One pair per edge of the prune-step tree (see :func:`prune_children`).
+    """
+    return sorted(
+        (child, parent)
+        for parent, mine in enumerate(prune_children(parents))
+        for child in mine
+    )
+
+
+# --- exact decider ----------------------------------------------------------
+
+
+def _cover_left(adj: Sequence[Sequence[int]], n_right: int) -> list[int] | None:
+    """A matching that covers every left vertex, or ``None`` if none exists.
+
+    ``adj[i]`` lists the right vertices left vertex ``i`` may take.
+    Returns the left owner of each right vertex (-1 when unused).  Each
+    left vertex in turn first takes its first free right vertex; the rest
+    then search augmenting paths (Kuhn) on an explicit stack.  Both go in
+    list order, so the result is deterministic.
+    """
+    owner = [-1] * n_right
+    unmatched = []
+    for i, row in enumerate(adj):
+        j = next((j for j in row if owner[j] < 0), -1)
+        if j < 0:
+            unmatched.append(i)
+        else:
+            owner[j] = i
+    for start in unmatched:
+        seen = [False] * n_right
+        lefts = [start]
+        todo = [iter(adj[start])]
+        via: list[int] = []  # via[k]: the right vertex that led to lefts[k + 1]
+        while True:
+            j = next((j for j in todo[-1] if not seen[j]), -1)
+            if j < 0:
+                lefts.pop()
+                todo.pop()
+                if not lefts:
+                    return None
+                via.pop()
+                continue
+            seen[j] = True
+            if owner[j] < 0:
+                break
+            via.append(j)
+            lefts.append(owner[j])
+            todo.append(iter(adj[owner[j]]))
+        owner[j] = lefts[-1]
+        for right, left in zip(via, lefts):
+            owner[right] = left
+    return owner
+
+
+class SubtreeTable:
+    """Hash-consed rooted subtrees and a memo of which embed in which.
+
+    Ids are dense and every child id is smaller than its parent's.  The
+    memo keeps, per query id, one bitset of the host ids it is known to
+    map onto and one of those it is known not to.  Trees interned into
+    one table share both the ids and the memo.
+    """
+
+    def __init__(self) -> None:
+        self._ids: dict[tuple[int, tuple[int, ...]], int] = {}
+        self.color: list[int] = []
+        self.kids: list[tuple[int, ...]] = []
+        self.size: list[int] = []
+        self.degree: list[int] = []
+        self._yes: list[int] = []
+        self._no: list[int] = []
+
+    def intern(self, color: int, kid_ids: Sequence[int]) -> int:
+        key = (color, tuple(sorted(kid_ids)))
+        sid = self._ids.get(key)
+        return self._add(key) if sid is None else sid
+
+    def _add(self, key: tuple[int, tuple[int, ...]]) -> int:
+        sid = len(self.color)
+        self._ids[key] = sid
+        color, kid_ids = key
+        self.color.append(color)
+        self.kids.append(kid_ids)
+        self.size.append(1 + sum(map(self.size.__getitem__, kid_ids)))
+        self.degree.append(len(kid_ids))
+        self._yes.append(0)
+        self._no.append(0)
+        return sid
+
+    def intern_code(self, code: Vcpc) -> Rooted:
+        """Intern a code's prune-step tree."""
+        kids = prune_children(code.parents)
+        known = self._ids
+        ids: list[int] = []
+        firsts: dict[int, int] = {}
+        for step, color in enumerate(code.colors):
+            mine = kids[step]
+            if not mine:
+                key = (color, ())
+            elif len(mine) == 1:
+                key = (color, (ids[mine[0]],))
+            else:
+                key = (color, tuple(sorted(map(ids.__getitem__, mine))))
+            sid = known.get(key)
+            if sid is None:
+                sid = self._add(key)
+            ids.append(sid)
+            if sid not in firsts:
+                firsts[sid] = step
+        return Rooted(ids, kids, firsts)
+
+    def _fits(self, q: int, h: int) -> bool:
+        """Whether color, size and out-degree let q map onto h."""
+        return (
+            self.color[q] == self.color[h]
+            and self.size[q] <= self.size[h]
+            and self.degree[q] <= self.degree[h]
+        )
+
+    def _edges(self, qs: Sequence[int], hs: Sequence[int]) -> list[list[int]]:
+        """Bipartite graph of pairs known to map: the positions in hs each
+        q in qs maps onto."""
+        yes = self._yes
+        rows: dict[int, list[int]] = {}
+        for q in qs:
+            if q not in rows:
+                rows[q] = [j for j, h in enumerate(hs) if yes[q] >> h & 1]
+        return [rows[q] for q in qs]
+
+    def can_map(self, q: int, h: int) -> bool:
+        """Whether subtree ``q`` embeds in subtree ``h`` with root on root.
+
+        Undecided child pairs are decided first, deepest first, on an
+        explicit stack, so the depth of the trees does not matter.
+        """
+        fits = self._fits
+        if not fits(q, h):
+            return False
+        kids, yes, no = self.kids, self._yes, self._no
+        color, size, degree = self.color, self.size, self.degree
+        stack = [(q, h)]
+        while stack:
+            a, b = stack[-1]
+            if (yes[a] | no[a]) >> b & 1:
+                stack.pop()
+                continue
+            ka, kb = kids[a], kids[b]
+            if len(ka) == 1 == len(kb):
+                # Unary on both sides: the pair maps exactly when its child
+                # pair does.  Walk down to the first child pair that is
+                # decided, filtered out or not unary on both sides.
+                chain = [(a, b)]
+                x, y = ka[0], kb[0]
+                while (
+                    fits(x, y)
+                    and not (yes[x] | no[x]) >> y & 1
+                    and degree[x] == 1 == degree[y]
+                ):
+                    chain.append((x, y))
+                    x, y = kids[x][0], kids[y][0]
+                if fits(x, y) and not (yes[x] | no[x]) >> y & 1:
+                    stack.append((x, y))
+                    continue
+                memo = yes if fits(x, y) and yes[x] >> y & 1 else no
+                for x, y in chain:
+                    memo[x] |= 1 << y
+                stack.pop()
+                continue
+            pending = [
+                (x, y)
+                for x in set(ka)
+                for y in set(kb)
+                if color[x] == color[y]
+                and size[x] <= size[y]
+                and degree[x] <= degree[y]
+                and not (yes[x] | no[x]) >> y & 1
+            ]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            if not ka:
+                found = True
+            elif len(ka) == 1:
+                found = any(yes[ka[0]] >> y & 1 for y in kb)
+            else:
+                found = _cover_left(self._edges(ka, kb), len(kb)) is not None
+            if found:
+                yes[a] |= 1 << b
+            else:
+                no[a] |= 1 << b
+        return bool(yes[q] >> h & 1)
+
+    def witness(self, query: Rooted, host: Rooted, host_step: int) -> tuple[int, ...]:
+        """Host step per query step, the query's root on ``host_step``.
+
+        The query's root id must map onto the id at ``host_step``.
+        Children take the first host child they map onto where that
+        leaves a matching for the rest.
+        """
+        q_ids, q_kids = query.ids, query.kids
+        h_ids, h_kids = host.ids, host.kids
+        yes = self._yes
+        image = [0] * len(q_ids)
+        stack = [(len(q_ids) - 1, host_step)]
+        while stack:
+            a, b = stack.pop()
+            image[a] = b
+            qa, hb = q_kids[a], h_kids[b]
+            if len(qa) == 1:
+                x = q_ids[qa[0]]
+                if len(hb) > 1:
+                    hb = [next(y for y in hb if yes[x] >> h_ids[y] & 1)]
+                stack.append((qa[0], hb[0]))
+            elif qa:
+                edges = self._edges([q_ids[x] for x in qa], [h_ids[y] for y in hb])
+                owner = _cover_left(edges, len(hb))
+                stack.extend((qa[left], hb[j]) for j, left in enumerate(owner) if left >= 0)
+        return tuple(image)
+
+    def search(self, query: Rooted, host: Rooted) -> tuple[tuple[int, ...] | None, int]:
+        """First witness over the host's prune steps in order, and the
+        number of distinct host subtrees tried as the query root's image
+        (those that pass the color, size and out-degree filters)."""
+        root = query.ids[-1]
+        color, size, degree = self.color, self.size, self.degree
+        c, s, d = color[root], size[root], degree[root]
+        yes, no = self._yes[root], self._no[root]
+        tried = 0
+        for sid, step in host.firsts.items():
+            if color[sid] != c or size[sid] < s or degree[sid] < d:
+                continue
+            tried += 1
+            if yes >> sid & 1 or (not no >> sid & 1 and self.can_map(root, sid)):
+                return self.witness(query, host, step), tried
+        return None, tried
+
+
+# --- ordered index-set search -----------------------------------------------
 
 
 def color_matching_index_sets(p: Vcpc, q: Vcpc) -> Iterator[tuple[int, ...]]:
@@ -91,7 +365,8 @@ def color_matching_index_sets(p: Vcpc, q: Vcpc) -> Iterator[tuple[int, ...]]:
 
     Streams every ascending ``(i_0 .. i_{n'-1})`` with
     ``p.colors[i_j] == q.colors[j]`` for all j, including the terminal
-    column (the embedded root's color).
+    column (the embedded root's color).  Backtracks with an explicit
+    cursor per column, so long queries need no recursion.
     """
     n, nq = p.n, q.n
     if nq > n:
@@ -99,24 +374,22 @@ def color_matching_index_sets(p: Vcpc, q: Vcpc) -> Iterator[tuple[int, ...]]:
     positions: dict[int, list[int]] = {}
     for i, c in enumerate(p.colors):
         positions.setdefault(c, []).append(i)
-
-    needed = q.colors
+    columns = [positions.get(c, []) for c in q.colors]
     choice = [0] * nq
-
-    def advance(j: int, start: int) -> Iterator[tuple[int, ...]]:
-        limit = n - (nq - j)
-        for i in positions.get(needed[j], ()):
-            if i < start:
-                continue
-            if i > limit:
-                break
-            choice[j] = i
-            if j == nq - 1:
-                yield tuple(choice)
-            else:
-                yield from advance(j + 1, i + 1)
-
-    yield from advance(0, 0)
+    cursor = [0] * nq  # next candidate of each column, an index into it
+    j = 0
+    while j >= 0:
+        column, k = columns[j], cursor[j]
+        if k == len(column) or column[k] > n - (nq - j):
+            j -= 1
+            continue
+        choice[j] = column[k]
+        cursor[j] = k + 1
+        if j == nq - 1:
+            yield tuple(choice)
+        else:
+            j += 1
+            cursor[j] = bisect_right(columns[j], choice[j - 1])
 
 
 def _incident_ok(
@@ -151,27 +424,9 @@ def incident_edge_ok(
     return _incident_ok(p_row, adjacent_pairs(q_row), idx)
 
 
-@dataclass(frozen=True)
-class SubtreeResult:
-    witness: tuple[int, ...] | None
-    candidates_examined: int
-
-
-def subtree_search(
-    pq: Vcpc, p: Vcpc, candidate_cap: int = DEFAULT_CANDIDATE_CAP
-) -> SubtreeResult:
-    """Find the first witness embedding pq's tree into p's, with statistics.
-
-    Candidates stream in lexicographic order and are filtered in stages:
-    color match, parent-shape match, incident-edge check.  Raises
-    :class:`CandidateExplosion` when more than ``candidate_cap`` color
-    candidates get examined.
-    """
-    if pq.n > p.n:
-        return SubtreeResult(None, 0)
+def _ordered_search(pq: Vcpc, p: Vcpc, candidate_cap: int) -> "SubtreeResult":
     if Counter(pq.colors) - Counter(p.colors):
         return SubtreeResult(None, 0)
-
     target_shape = shape([x for x in pq.parents[:-1] if x is not None])
     pairs = adjacent_pairs(pq.parents)
     examined = 0
@@ -187,43 +442,82 @@ def subtree_search(
     return SubtreeResult(None, examined)
 
 
-def is_subarborescence(
-    pq: Vcpc, p: Vcpc, candidate_cap: int = DEFAULT_CANDIDATE_CAP
-) -> tuple[int, ...] | None:
-    """Witness index set embedding pq's tree into p's tree, or ``None``.
+# --- entry points -------------------------------------------------------------
 
-    The witness is the lexicographically first index set satisfying all
-    three conditions; its positions ``idx[0..n'-2]`` name the prune steps
-    of p whose edges form the matched sub-arborescence.
+
+@dataclass(frozen=True)
+class SubtreeResult:
+    witness: tuple[int, ...] | None
+    candidates_examined: int
+
+
+def subtree_search(
+    pq: Vcpc,
+    p: Vcpc,
+    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
+    ordered: bool = False,
+) -> SubtreeResult:
+    """Find a witness embedding pq's tree into p's, with statistics.
+
+    The witness gives, per prune step of pq, the prune step of p whose
+    vertex takes it.  By default the exact decider answers, and
+    ``candidates_examined`` counts the distinct subtrees of p tried as
+    the image of pq's root after the color, size and out-degree filters.
+    With ``ordered`` the index-set search answers instead: candidates
+    stream in lexicographic order and are filtered by color match,
+    parent-shape match and the incident-edge check, and the first
+    survivor is the witness.  ``candidate_cap`` bounds only that ordered
+    search: past it :class:`CandidateExplosion` is raised.
     """
-    return subtree_search(pq, p, candidate_cap).witness
+    if pq.n > p.n:
+        return SubtreeResult(None, 0)
+    if ordered:
+        return _ordered_search(pq, p, candidate_cap)
+    if any(pq.colors.count(c) > p.colors.count(c) for c in set(pq.colors)):
+        return SubtreeResult(None, 0)
+    table = SubtreeTable()
+    witness, tried = table.search(table.intern_code(pq), table.intern_code(p))
+    return SubtreeResult(witness, tried)
+
+
+def is_subarborescence(
+    pq: Vcpc,
+    p: Vcpc,
+    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
+    ordered: bool = False,
+) -> tuple[int, ...] | None:
+    """Witness embedding pq's tree into p's tree, or ``None``.
+
+    See :func:`subtree_search`.  The ordered witness is the
+    lexicographically first index set satisfying all three conditions;
+    its positions ``idx[0..n'-2]`` name the prune steps of p whose edges
+    form the matched sub-arborescence.
+    """
+    return subtree_search(pq, p, candidate_cap, ordered).witness
 
 
 # --- undirected extension -------------------------------------------------
 
 
-def _reroot(tree: ColoredArborescence, new_root: int) -> ColoredArborescence:
-    adjacency = tree.undirected_adjacency()
-    seen = {new_root}
-    stack = [new_root]
-    edges: list[tuple[int, int]] = []
-    while stack:
-        u = stack.pop()
-        for v in adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                edges.append((u, v))
-                stack.append(v)
-    colors = {v: tree.colors[v] for v in range(tree.n)}
-    return build_tree(edges, colors) if edges else build_tree([], colors)
+def _side_ids(table: SubtreeTable, tree: ColoredArborescence) -> tuple[list[int], list[int]]:
+    """Subtree ids of both sides of every edge, by one rerooting pass.
 
-
-@lru_cache(maxsize=512)
-def leaf_rooted_codes(tree: ColoredArborescence) -> tuple[Vcpc, ...]:
-    """Canonical codes of the tree re-rooted at each undirected leaf."""
-    adjacency = tree.undirected_adjacency()
-    leaf_ids = [v for v in range(tree.n) if len(adjacency[v]) <= 1]
-    return tuple(encode_canonical(_reroot(tree, v))[0] for v in leaf_ids)
+    ``down[v]`` is v's side of the edge to its parent, rooted at v;
+    ``up[v]`` is the parent's side, rooted at the parent (-1 at the root).
+    """
+    order = tree.bfs_order()
+    colors, children = tree.colors, tree.children
+    down = [0] * tree.n
+    for v in reversed(order):
+        down[v] = table.intern(colors[v], [down[c] for c in children[v]])
+    up = [-1] * tree.n
+    for p in order:
+        outside = [down[c] for c in children[p]]
+        if up[p] >= 0:
+            outside.append(up[p])
+        for k, c in enumerate(children[p]):
+            up[c] = table.intern(colors[p], outside[:k] + outside[k + 1 :])
+    return down, up
 
 
 def undirected_subtree(
@@ -233,16 +527,29 @@ def undirected_subtree(
 ) -> bool:
     """Whether t1's underlying colored tree embeds in t2's.
 
-    Fixes one leaf-rooting of t1, then tries every leaf-rooting of t2;
-    some rooting pair witnesses the embedding exactly when the undirected
-    embedding exists.
+    Fix a leaf f of t1 and its neighbor g.  An embedding sends f to some
+    vertex x of t2 and the rest of t1 into the side of one neighbor z of
+    x away from x, g onto z.  So the test is whether, for some directed
+    edge (x, z) of t2 with x colored like f, the side of z takes t1's side
+    of g, root on root.  Both trees' sides are interned into one table.
+    ``candidate_cap`` bounds only the ordered index-set search, which
+    this test does not use; it is accepted and ignored.
     """
     if t1.n > t2.n:
         return False
-    adjacency = t1.undirected_adjacency()
-    fixed_leaf = next(v for v in range(t1.n) if len(adjacency[v]) <= 1)
-    code1, _ = encode_canonical(_reroot(t1, fixed_leaf))
-    for code2 in leaf_rooted_codes(t2):
-        if is_subarborescence(code1, code2, candidate_cap) is not None:
-            return True
-    return False
+    if t1.n == 1:
+        return t1.colors[0] in t2.colors
+    table = SubtreeTable()
+    down, up = _side_ids(table, t1)
+    if len(t1.children[t1.root]) == 1:
+        f = t1.root
+        query = down[t1.children[f][0]]
+    else:
+        f = next(v for v in range(t1.n) if not t1.children[v])
+        query = up[f]
+    down, up = _side_ids(table, t2)
+    parent = t2.parent_map()
+    color = t1.colors[f]
+    hosts = {down[v] for v in range(t2.n) if v != t2.root and t2.colors[parent[v]] == color}
+    hosts.update(up[v] for v in range(t2.n) if v != t2.root and t2.colors[v] == color)
+    return any(table.can_map(query, h) for h in hosts)

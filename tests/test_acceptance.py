@@ -1,10 +1,9 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict
-lines inline.  Criterion 7 additionally prints a structured JSON report
-line for every divergence between the code path and the unordered
-backtracking oracle; those reports are informational and never fail the
-suite (the ordered oracle is the conformance target).
+lines inline.  Containment verdicts conform to the unordered backtracking
+oracle; the ordered index-set search (``ordered=True``) conforms to the
+ordered oracle.
 """
 
 import itertools
@@ -160,40 +159,29 @@ def test_criterion_7_subtree_poset_matches_ordered_oracle():
     trees = random_trees(8, 200, 4, seed=7272)
     classes = partition_by_isomorphism(trees)
     poset = subtree_poset(classes)
-    assert poset.unknown == []
 
     rep_tree = {c.class_id: decode(c.representative) for c in classes}
-    size = {c.class_id: c.representative.n for c in classes}
+    reps = {c.class_id: c.representative for c in classes}
     relation = poset.relation()
-    discrepancies = []
     checked = 0
+    ordered_misses = 0
     for a, b in itertools.product(rep_tree, repeat=2):
-        if a == b or size[a] > size[b]:
+        if a == b or reps[a].n > reps[b].n:
             continue
         checked += 1
-        code_verdict = (a, b) in relation
-        ordered_verdict = has_embedding(rep_tree[a], rep_tree[b], ordered=True)
-        assert code_verdict == ordered_verdict, (a, b)
         unordered_verdict = has_embedding(rep_tree[a], rep_tree[b], ordered=False)
-        if code_verdict != unordered_verdict:
-            discrepancies.append(
-                {
-                    "kind": "unordered-oracle-divergence",
-                    "below_class": a,
-                    "above_class": b,
-                    "code_verdict": code_verdict,
-                    "unordered_verdict": unordered_verdict,
-                }
-            )
-    for report in discrepancies:
-        print("DISCREPANCY: " + json.dumps(report))
+        assert ((a, b) in relation) == unordered_verdict, (a, b)
+        ordered_verdict = has_embedding(rep_tree[a], rep_tree[b], ordered=True)
+        ordered_code = is_subarborescence(reps[a], reps[b], ordered=True) is not None
+        assert ordered_code == ordered_verdict, (a, b)
+        ordered_misses += unordered_verdict and not ordered_verdict
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0
     _verdict(
         7,
         elapsed,
-        f"{checked} ordered-oracle verdicts identical; "
-        f"{len(discrepancies)} unordered divergences reported",
+        f"{checked} poset verdicts equal the unordered oracle and ordered-mode "
+        f"verdicts the ordered oracle; the ordered mode misses {ordered_misses}",
     )
 
 
@@ -227,7 +215,7 @@ def test_criterion_9_most_representative_matches_exhaustive_count():
 
     def oracle_count(class_id: int) -> int:
         return sum(
-            1 for t in trees if has_embedding(rep_tree[class_id], t, ordered=True)
+            1 for t in trees if has_embedding(rep_tree[class_id], t, ordered=False)
         )
 
     counts = {c.class_id: oracle_count(c.class_id) for c in classes}

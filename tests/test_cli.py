@@ -111,16 +111,34 @@ def test_poset_golden_edge(cli):
     assert edges == {(0, 0), (1, 1), (0, 1)}
 
 
-def test_poset_strict_with_unknown_pairs_exit_3(cli):
+def test_poset_decides_wide_monochrome_star(cli):
     wide = '{"edges": %s, "colors": %s}\n' % (
         json.dumps([[0, i] for i in range(1, 10)]),
         json.dumps({str(v): 0 for v in range(10)}),
     )
     small = '{"edges": [[0, 1], [0, 2]], "colors": {"0": 0, "1": 0, "2": 0}}\n'
-    code, out, _ = cli(["poset", "--strict-poset", "--cap", "2"], small + wide)
-    assert code == 3
-    trailer = json.loads(out.splitlines()[-1])
-    assert trailer["unknown_pairs"] == [[0, 1]]
+    code, out, _ = cli(["poset"], small + wide)
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records[-1] == {"unknown_pairs": []}
+    assert {"below": 0, "above": 1, "witness": [0, 1, 9]} in records[:-1]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["poset", "--cap", "2"],
+        ["poset", "--strict-poset"],
+        ["most-common", "--cap", "2"],
+        ["subtree", "q", "h", "--cap", "2"],
+        ["subtree-undirected", "q", "h", "--cap", "2"],
+        ["bench", "--m", "2", "--n", "1", "--c", "1", "--cap", "2"],
+    ],
+)
+def test_removed_cap_flags_are_usage_errors(cli, args):
+    with pytest.raises(SystemExit) as exc:
+        cli(args)
+    assert exc.value.code == 2
 
 
 def test_most_common_and_empty_result(cli):

@@ -1,13 +1,13 @@
 """Code-level predicates: isomorphism, shape, adjacency, subtree matching."""
 
 import itertools
+import time
 
 import pytest
 
 from colored_prufer import (
     Vcpc,
     adjacent_pairs,
-    branch_partition,
     brute_canonical,
     build_tree,
     code_adjacent,
@@ -29,6 +29,7 @@ from colored_prufer.errors import (
     IndexOutOfRange,
     SentinelCompared,
 )
+from colored_prufer.corpus import partition_by_isomorphism, subtree_poset
 from colored_prufer.matching import SubtreeResult
 from colored_prufer.oracle import random_trees
 
@@ -119,15 +120,9 @@ def test_code_adjacent_rejects_sentinel_and_bad_indices():
         code_adjacent(code, -1, 2)
 
 
-def test_branch_partition_blocks():
-    t = subtree_host_1()
-    for apex in range(t.n):
-        blocks = branch_partition(t, apex)
-        assert len(blocks) == len(t.children[apex])
-        union = set().union(*blocks) if blocks else set()
-        assert union == subtree_vertices(t, apex) - {apex}
-        for first, second in itertools.combinations(blocks, 2):
-            assert not (first & second)
+def branch_partition(tree, apex):
+    """Partition of the apex's proper descendants into one block per child."""
+    return [subtree_vertices(tree, child) for child in tree.children[apex]]
 
 
 def test_adjacency_interval_lies_in_parent_branches():
@@ -227,16 +222,14 @@ def test_incident_edge_requires_descent():
 
 def test_subtree_golden_verdicts():
     query = _code(vcpc_build_tree())
-    assert is_subarborescence(query, _code(subtree_host_1())) == (2, 5, 6, 8, 9)
-    assert is_subarborescence(query, _code(subtree_host_2())) == (3, 4, 5, 7, 8)
-    assert is_subarborescence(_code(subtree_query_3()), _code(subtree_host_2())) is None
-    assert is_subarborescence(_code(incident_query()), _code(incident_host())) is None
-    assert is_subarborescence(_code(incident_query()), _code(incident_middle_host())) == (
-        0,
-        2,
-        4,
-        5,
-    )
+    host1, host2 = _code(subtree_host_1()), _code(subtree_host_2())
+    assert is_subarborescence(query, host1, ordered=True) == (2, 5, 6, 8, 9)
+    assert is_subarborescence(query, host2, ordered=True) == (3, 4, 5, 7, 8)
+    assert is_subarborescence(_code(subtree_query_3()), host2, ordered=True) is None
+    assert is_subarborescence(_code(incident_query()), _code(incident_host()), ordered=True) is None
+    assert is_subarborescence(
+        _code(incident_query()), _code(incident_middle_host()), ordered=True
+    ) == (0, 2, 4, 5)
 
 
 def test_subtree_reflexive_identity():
@@ -290,7 +283,7 @@ def test_subtree_agrees_with_ordered_oracle_and_is_sound():
         for b in range(len(classes)):
             if a == b or codes[a].n > codes[b].n:
                 continue
-            witness = is_subarborescence(codes[a], codes[b])
+            witness = is_subarborescence(codes[a], codes[b], ordered=True)
             assert (witness is not None) == has_embedding(reps[a], reps[b], ordered=True)
             if witness is not None:
                 assert _witness_is_sound(codes[a], reps[b], witness)
@@ -319,8 +312,8 @@ def test_candidate_cap_raises():
     host = _code(build_tree([(0, i) for i in range(1, 9)], {v: 0 for v in range(9)}))
     query = _code(build_tree([(0, 1), (0, 2)], {0: 0, 1: 0, 2: 0}))
     with pytest.raises(CandidateExplosion):
-        subtree_search(query, host, candidate_cap=3)
-    result = subtree_search(query, host, candidate_cap=10**6)
+        subtree_search(query, host, candidate_cap=3, ordered=True)
+    result = subtree_search(query, host, candidate_cap=10**6, ordered=True)
     assert isinstance(result, SubtreeResult)
     assert result.witness is not None
     assert result.candidates_examined >= 1
@@ -349,13 +342,27 @@ def test_undirected_detects_cross_root_embedding():
     assert undirected_subtree(query, host)
 
 
+def _reroot(tree, new_root):
+    """The same undirected colored tree, oriented away from ``new_root``."""
+    adjacency = tree.undirected_adjacency()
+    seen = {new_root}
+    stack = [new_root]
+    edges = []
+    while stack:
+        u = stack.pop()
+        for v in adjacency[u]:
+            if v not in seen:
+                seen.add(v)
+                edges.append((u, v))
+                stack.append(v)
+    return build_tree(edges, {v: tree.colors[v] for v in range(tree.n)})
+
+
 def test_undirected_agrees_with_brute_force():
     trees = random_trees(6, 40, 2, seed=36)
 
     def brute_undirected(tq, t):
         # try every rooting of both trees with the directed oracle
-        from colored_prufer.matching import _reroot
-
         for rq in range(tq.n):
             for rt in range(t.n):
                 if has_embedding(_reroot(tq, rq), _reroot(t, rt)):
@@ -377,4 +384,82 @@ def test_ordered_unordered_divergence_is_one_sided():
     query, host = divergent_pair()
     assert has_embedding(query, host, ordered=False)
     assert not has_embedding(query, host, ordered=True)
-    assert is_subarborescence(_code(query), _code(host)) is None
+    witness = is_subarborescence(_code(query), _code(host))
+    assert witness is not None and _witness_is_sound(_code(query), host, witness)
+    assert is_subarborescence(_code(query), _code(host), ordered=True) is None
+
+
+# --- exact decider at sizes where the ordered search diverges ---------------------
+
+
+def test_exact_decider_matches_unordered_oracle_where_ordered_misses():
+    # these seeds hold 10 of the 19 pairs of random_trees(10, 60, 2, 0..39)
+    # that the ordered index-set search misses
+    checked = ordered_misses = 0
+    for seed in (0, 2, 3, 4, 14, 17):
+        trees = random_trees(10, 60, 2, seed)
+        codes = [_code(t) for t in trees]
+        for i, j in itertools.permutations(range(len(trees)), 2):
+            if trees[i].n >= trees[j].n:
+                continue
+            checked += 1
+            expected = has_embedding(trees[i], trees[j], ordered=False)
+            witness = is_subarborescence(codes[i], codes[j])
+            assert (witness is not None) == expected, (seed, i, j)
+            if witness is not None:
+                assert _witness_is_sound(codes[i], trees[j], witness)
+            ordered = is_subarborescence(codes[i], codes[j], ordered=True)
+            ordered_misses += expected and ordered is None
+    assert checked > 8000 and ordered_misses == 10
+
+
+def test_undirected_matches_all_rootings_oracle_at_order_nine():
+    checked = 0
+    for seed in range(15):
+        trees = random_trees(9, 40, 2, seed)
+        rootings = [[_reroot(t, r) for r in range(t.n)] for t in trees]
+        for i, j in itertools.permutations(range(len(trees)), 2):
+            if trees[i].n > trees[j].n:
+                continue
+            checked += 1
+            expected = any(has_embedding(trees[i], host) for host in rootings[j])
+            assert undirected_subtree(trees[i], trees[j]) == expected, (seed, i, j)
+    assert checked > 13000
+
+
+def _broom(legs, length):
+    """Monochrome spider: ``legs`` paths of ``length`` vertices under a root."""
+    edges = []
+    for leg in range(legs):
+        first = 1 + leg * length
+        edges.append((0, first))
+        edges.extend((v, v + 1) for v in range(first, first + length - 1))
+    return build_tree(edges, {v: 0 for v in range(1 + legs * length)})
+
+
+def _path(n):
+    return build_tree([(v, v + 1) for v in range(n - 1)], {v: 0 for v in range(n)})
+
+
+def test_broom_in_broom_decided_without_cap():
+    query, host = _broom(6, 2), _broom(12, 3)
+    start = time.perf_counter()
+    witness = is_subarborescence(_code(query), _code(host))
+    elapsed = time.perf_counter() - start
+    assert witness is not None and _witness_is_sound(_code(query), host, witness)
+    assert elapsed < 0.5
+    assert is_subarborescence(_code(_broom(3, 3)), _code(_broom(5, 2))) is None
+
+
+def test_long_path_in_longer_path_with_witness():
+    query, host = _path(1200), _path(1500)
+    witness = is_subarborescence(_code(query), _code(host))
+    assert witness is not None and _witness_is_sound(_code(query), host, witness)
+    assert is_subarborescence(_code(host), _code(query)) is None
+    assert undirected_subtree(query, host)
+
+
+def test_ordered_search_on_long_path_needs_no_recursion():
+    query, host = _code(_path(1200)), _code(_path(1500))
+    witness = is_subarborescence(query, host, ordered=True)
+    assert witness == tuple(range(1200))
