@@ -48,11 +48,11 @@ DEFAULT_CANDIDATE_CAP = 10**6
 
 
 class Rooted(NamedTuple):
-    """A rooted tree interned into a :class:`SubtreeTable`.
+    """A code's prune-step tree interned into a :class:`SubtreeTable`.
 
-    Per prune step (or vertex, children before parents, the root last):
-    its subtree id and its child steps; ``firsts`` maps each distinct id
-    to the first step that has it.
+    Per prune step (children before parents, the root last): its subtree
+    id and its child steps; ``firsts`` maps each distinct id to the first
+    step that has it.
     """
 
     ids: list[int]

@@ -111,19 +111,6 @@ def test_poset_golden_edge(cli):
     assert edges == {(0, 0), (1, 1), (0, 1)}
 
 
-def test_poset_decides_wide_monochrome_star(cli):
-    wide = '{"edges": %s, "colors": %s}\n' % (
-        json.dumps([[0, i] for i in range(1, 10)]),
-        json.dumps({str(v): 0 for v in range(10)}),
-    )
-    small = '{"edges": [[0, 1], [0, 2]], "colors": {"0": 0, "1": 0, "2": 0}}\n'
-    code, out, _ = cli(["poset"], small + wide)
-    assert code == 0
-    records = [json.loads(line) for line in out.splitlines()]
-    assert records[-1] == {"unknown_pairs": []}
-    assert {"below": 0, "above": 1, "witness": [0, 1, 9]} in records[:-1]
-
-
 @pytest.mark.parametrize(
     "args",
     [

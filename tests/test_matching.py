@@ -29,7 +29,6 @@ from colored_prufer.errors import (
     IndexOutOfRange,
     SentinelCompared,
 )
-from colored_prufer.corpus import partition_by_isomorphism, subtree_poset
 from colored_prufer.matching import SubtreeResult
 from colored_prufer.oracle import random_trees
 
