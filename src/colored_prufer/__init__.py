@@ -32,13 +32,9 @@ from .corpus import (
     subtree_poset,
 )
 from .matching import (
-    adjacent_pairs,
     code_adjacent,
     codes_isomorphic,
-    color_matching_index_sets,
-    incident_edge_ok,
     is_subarborescence,
-    shape,
     subtree_search,
     undirected_subtree,
 )
@@ -70,7 +66,6 @@ __all__ = [
     "IsoClass",
     "PruneTrace",
     "Vcpc",
-    "adjacent_pairs",
     "brute_canonical",
     "build_tree",
     "canonical_order",
@@ -78,14 +73,12 @@ __all__ = [
     "classical_prufer",
     "code_adjacent",
     "codes_isomorphic",
-    "color_matching_index_sets",
     "decode",
     "encode",
     "encode_canonical",
     "enumerate_embeddings",
     "full_ld_array",
     "has_embedding",
-    "incident_edge_ok",
     "is_subarborescence",
     "iter_corpus",
     "ld_array",
@@ -98,7 +91,6 @@ __all__ = [
     "random_corpus",
     "random_trees",
     "reconstruct",
-    "shape",
     "subtree_poset",
     "subtree_vertices",
     "subtree_search",

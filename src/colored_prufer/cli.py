@@ -66,6 +66,8 @@ def _read_codes(args) -> Iterator[Vcpc]:
                 obj = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise InvalidCode(f"line {line_no}: invalid JSON ({exc.msg})") from exc
+            except RecursionError:
+                raise InvalidCode(f"line {line_no}: JSON nested too deeply") from None
             code = Vcpc.from_json(obj)
             yield code
     finally:
@@ -122,7 +124,7 @@ def cmd_iso_classes(args) -> int:
 
 def cmd_poset(args) -> int:
     classes = corpus_mod.partition_by_isomorphism(list(_read_trees(args)))
-    poset = corpus_mod.subtree_poset(classes, workers=args.workers)
+    poset = corpus_mod.subtree_poset(classes)
     for (a, b), witness in sorted(poset.below.items()):
         _emit({"below": a, "above": b, "witness": list(witness)})
     # Every pair is decided; the trailer stays part of the output format.
@@ -292,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poset", help="subtree partial order between classes")
     _add_input(p)
-    p.add_argument("--workers", type=_positive, default=1)
+    p.add_argument("--workers", type=_positive, default=1, help="accepted and ignored")
     p.set_defaults(func=cmd_poset)
 
     p = sub.add_parser("most-common", help="structure contained in most trees")
@@ -335,6 +337,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ColoredPruferError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not valid UTF-8 ({exc.reason})", file=sys.stderr)
         return EXIT_INPUT
 
 

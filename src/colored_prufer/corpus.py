@@ -10,17 +10,13 @@ incomplete.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .codec import Vcpc, encode_canonical
 from .errors import NoEligibleClass
-from .matching import Rooted, SubtreeTable
+from .matching import SubtreeTable
 from .trees import ColoredArborescence
-
-# Jobs per worker task when the poset runs on several processes.
-_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -101,36 +97,14 @@ class _Closure:
         return pairs
 
 
-def _verdicts(jobs, table: SubtreeTable, rooted: dict[int, Rooted]) -> list:
-    """Witness or ``None`` for each ``(a, rep_a, b, rep_b)`` job.
-
-    ``rooted`` holds the representatives already interned into ``table``,
-    by class id.
-    """
-    out = []
-    for a, rep_a, b, rep_b in jobs:
-        for class_id, rep in ((a, rep_a), (b, rep_b)):
-            if class_id not in rooted:
-                rooted[class_id] = table.intern_code(rep)
-        out.append(table.search(rooted[a], rooted[b])[0])
-    return out
-
-
-def _chunk_verdicts(jobs) -> list:
-    """Worker entry point: one table per chunk of jobs."""
-    return _verdicts(jobs, SubtreeTable(), {})
-
-
-def subtree_poset(classes: Sequence[IsoClass], workers: int = 1) -> CorpusPoset:
+def subtree_poset(classes: Sequence[IsoClass]) -> CorpusPoset:
     """Compute the full below-relation between class representatives.
 
     Pairs are scheduled by ascending vertex-count gap so that both legs
     of any transitive chain are committed before the pair they imply;
-    implied pairs are skipped and receive composed witnesses.  Run
-    sequentially, every pair is decided on one subtree table, so each
-    pair of distinct rooted subtrees is decided once for the whole
-    corpus; each worker chunk builds its own table.  The relation and the
-    witnesses are independent of scheduling and worker count.
+    implied pairs are skipped and receive composed witnesses.  Every
+    pair is decided on one subtree table, so each pair of distinct rooted
+    subtrees is decided once for the whole corpus.
     """
     poset = CorpusPoset(classes=list(classes))
     closure = _Closure(cls.class_id for cls in classes)
@@ -138,51 +112,27 @@ def subtree_poset(classes: Sequence[IsoClass], workers: int = 1) -> CorpusPoset:
     for cls in classes:
         below[(cls.class_id, cls.class_id)] = tuple(range(cls.representative.n))
 
-    reps = {cls.class_id: cls.representative for cls in classes}
-    candidates = [
+    table = SubtreeTable()
+    rooted = {cls.class_id: table.intern_code(cls.representative) for cls in classes}
+    candidates = sorted(
         (b_cls.representative.n - a_cls.representative.n, a_cls.class_id, b_cls.class_id)
         for a_cls in classes
         for b_cls in classes
-        if a_cls.class_id != b_cls.class_id
-        and a_cls.representative.n < b_cls.representative.n
-    ]
-    candidates.sort()
-
-    table = SubtreeTable()
-    rooted: dict[int, Rooted] = {}
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        start = 0
-        while start < len(candidates):
-            gap = candidates[start][0]
-            stop = start
-            while stop < len(candidates) and candidates[stop][0] == gap:
-                stop += 1
-            wave = [
-                (a, b)
-                for _, a, b in candidates[start:stop]
-                if not closure.has(a, b)
-            ]
-            jobs = [(a, reps[a], b, reps[b]) for a, b in wave]
-            if pool is not None:
-                chunks = [jobs[k : k + _CHUNK] for k in range(0, len(jobs), _CHUNK)]
-                witnesses = [w for part in pool.map(_chunk_verdicts, chunks) for w in part]
-            else:
-                witnesses = _verdicts(jobs, table, rooted)
-            for (a, b), witness in zip(wave, witnesses):
-                if witness is None:
-                    continue
-                for x, y in closure.add(a, b):
-                    w = witness
-                    if x != a:
-                        w = _compose(below[(x, a)], w)
-                    if y != b:
-                        w = _compose(w, below[(b, y)])
-                    below[(x, y)] = w
-            start = stop
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        if a_cls.representative.n < b_cls.representative.n
+    )
+    for _, a, b in candidates:
+        if closure.has(a, b):
+            continue
+        witness = table.search(rooted[a], rooted[b])[0]
+        if witness is None:
+            continue
+        for x, y in closure.add(a, b):
+            w = witness
+            if x != a:
+                w = _compose(below[(x, a)], w)
+            if y != b:
+                w = _compose(w, below[(b, y)])
+            below[(x, y)] = w
     return poset
 
 

@@ -86,7 +86,11 @@ class SentinelCompared(ColoredPruferError, ValueError):
 
 
 class CandidateExplosion(ColoredPruferError, RuntimeError):
-    """The candidate index-set stream exceeded its configured cap."""
+    """A candidate search exceeded its cap.
+
+    Nothing in the package raises it; it is kept for callers that still
+    catch it.
+    """
 
     def __init__(self, cap: int):
         super().__init__(f"candidate index sets exceeded cap of {cap}")

@@ -15,35 +15,25 @@ per prune step of the smaller code, the prune step of the larger code
 that takes it.  This is the unordered subtree question of Shamir & Tsur
 (J. Algorithms 1999) for colored rooted trees.
 
-``ordered=True`` selects the index-set search instead: some ascending
-index set into the larger code must match the smaller code's colors,
-preserve the shape of the selected parent entries, and pass the
-incident-edge check for every parent-child pair of the smaller tree.  It
-decides only embeddings that are monotone in canonical order, the
-ordered inclusion question of Kilpeläinen & Mannila (SIAM J. Comput.
-1995), misses embeddings that reverse it, and is exponential on
-monochrome brooms; ``candidate_cap`` bounds it.
-
 Adjacency inside a code: the parent of the vertex pruned at step ``a``
 is the vertex pruned at the first later step ``b`` whose own parent
 entry drops below ``parents[a]`` (the terminal sentinel counting as
-smaller than every label).  The incident-edge check for a pair (a, b)
-mapped to positions (i_a, i_b) therefore demands both that descent,
-``parents[i_b] < parents[i_a]``, and that no position strictly between
-them drops below ``parents[i_a]``.
+smaller than every label).  So step ``b`` is the parent of step ``a``
+exactly when ``parents[b] < parents[a]`` and no step strictly between
+them drops below ``parents[a]``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .codec import Vcpc
-from .errors import CandidateExplosion, IndexOutOfRange, SentinelCompared
+from .errors import IndexOutOfRange, SentinelCompared
 from .trees import ColoredArborescence
 
+# Default of the ignored third argument of subtree_search and
+# undirected_subtree; kept so that callers passing a cap keep working.
 DEFAULT_CANDIDATE_CAP = 10**6
 
 
@@ -63,16 +53,6 @@ class Rooted(NamedTuple):
 def codes_isomorphic(p: Vcpc, q: Vcpc) -> bool:
     """True iff the two codes are identical arrays."""
     return p.n == q.n and p.parents == q.parents and p.colors == q.colors
-
-
-def shape(xs: Sequence[int]) -> tuple[int, ...]:
-    """Image of a sequence under the unique order-preserving bijection.
-
-    Each element is replaced by its index among the sorted distinct
-    values, so ``(0, 2, 2, 0) -> (0, 1, 1, 0)``.
-    """
-    rank = {v: k for k, v in enumerate(sorted(set(xs)))}
-    return tuple(rank[x] for x in xs)
 
 
 def code_adjacent(p: Vcpc, i: int, j: int) -> bool:
@@ -113,18 +93,6 @@ def prune_children(parents: Sequence[int | None]) -> list[Sequence[int]]:
             kids.append(())
         stack.append(j)
     return kids
-
-
-def adjacent_pairs(parents: Sequence[int | None]) -> list[tuple[int, int]]:
-    """All (child step, parent step) pairs encoded in a parents row, sorted.
-
-    One pair per edge of the prune-step tree (see :func:`prune_children`).
-    """
-    return sorted(
-        (child, parent)
-        for parent, mine in enumerate(prune_children(parents))
-        for child in mine
-    )
 
 
 # --- exact decider ----------------------------------------------------------
@@ -357,91 +325,6 @@ class SubtreeTable:
         return None, tried
 
 
-# --- ordered index-set search -----------------------------------------------
-
-
-def color_matching_index_sets(p: Vcpc, q: Vcpc) -> Iterator[tuple[int, ...]]:
-    """Ascending index sets where p's colors match q's, lexicographically.
-
-    Streams every ascending ``(i_0 .. i_{n'-1})`` with
-    ``p.colors[i_j] == q.colors[j]`` for all j, including the terminal
-    column (the embedded root's color).  Backtracks with an explicit
-    cursor per column, so long queries need no recursion.
-    """
-    n, nq = p.n, q.n
-    if nq > n:
-        return
-    positions: dict[int, list[int]] = {}
-    for i, c in enumerate(p.colors):
-        positions.setdefault(c, []).append(i)
-    columns = [positions.get(c, []) for c in q.colors]
-    choice = [0] * nq
-    cursor = [0] * nq  # next candidate of each column, an index into it
-    j = 0
-    while j >= 0:
-        column, k = columns[j], cursor[j]
-        if k == len(column) or column[k] > n - (nq - j):
-            j -= 1
-            continue
-        choice[j] = column[k]
-        cursor[j] = k + 1
-        if j == nq - 1:
-            yield tuple(choice)
-        else:
-            j += 1
-            cursor[j] = bisect_right(columns[j], choice[j - 1])
-
-
-def _incident_ok(
-    p_parents: Sequence[int | None],
-    q_pairs: Sequence[tuple[int, int]],
-    idx: Sequence[int],
-) -> bool:
-    for a, b in q_pairs:
-        ia, ib = idx[a], idx[b]
-        pa = p_parents[ia]
-        pb = p_parents[ib]
-        if pb is not None and pb >= pa:
-            return False
-        for k in range(ia + 1, ib):
-            if p_parents[k] < pa:
-                return False
-    return True
-
-
-def incident_edge_ok(
-    p_row: Sequence[int | None],
-    q_row: Sequence[int | None],
-    idx: Sequence[int],
-) -> bool:
-    """Check the incident-edge property of an index set.
-
-    For every adjacent pair (a, b) of the smaller code's parents row,
-    the selected positions (idx[a], idx[b]) must themselves satisfy the
-    adjacency criterion in the larger row: a strict descent at idx[b]
-    and no intervening entry below ``p_row[idx[a]]``.
-    """
-    return _incident_ok(p_row, adjacent_pairs(q_row), idx)
-
-
-def _ordered_search(pq: Vcpc, p: Vcpc, candidate_cap: int) -> "SubtreeResult":
-    if Counter(pq.colors) - Counter(p.colors):
-        return SubtreeResult(None, 0)
-    target_shape = shape([x for x in pq.parents[:-1] if x is not None])
-    pairs = adjacent_pairs(pq.parents)
-    examined = 0
-    for idx in color_matching_index_sets(p, pq):
-        examined += 1
-        if examined > candidate_cap:
-            raise CandidateExplosion(candidate_cap)
-        selected = [p.parents[i] for i in idx[:-1]]
-        if shape(selected) != target_shape:  # type: ignore[arg-type]
-            continue
-        if _incident_ok(p.parents, pairs, idx):
-            return SubtreeResult(tuple(idx), examined)
-    return SubtreeResult(None, examined)
-
-
 # --- entry points -------------------------------------------------------------
 
 
@@ -455,24 +338,17 @@ def subtree_search(
     pq: Vcpc,
     p: Vcpc,
     candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-    ordered: bool = False,
 ) -> SubtreeResult:
     """Find a witness embedding pq's tree into p's, with statistics.
 
     The witness gives, per prune step of pq, the prune step of p whose
-    vertex takes it.  By default the exact decider answers, and
-    ``candidates_examined`` counts the distinct subtrees of p tried as
-    the image of pq's root after the color, size and out-degree filters.
-    With ``ordered`` the index-set search answers instead: candidates
-    stream in lexicographic order and are filtered by color match,
-    parent-shape match and the incident-edge check, and the first
-    survivor is the witness.  ``candidate_cap`` bounds only that ordered
-    search: past it :class:`CandidateExplosion` is raised.
+    vertex takes it.  ``candidates_examined`` counts the distinct subtrees
+    of p tried as the image of pq's root after the color, size and
+    out-degree filters.  ``candidate_cap`` is accepted for compatibility
+    and ignored: the decider needs no cap.
     """
     if pq.n > p.n:
         return SubtreeResult(None, 0)
-    if ordered:
-        return _ordered_search(pq, p, candidate_cap)
     if any(pq.colors.count(c) > p.colors.count(c) for c in set(pq.colors)):
         return SubtreeResult(None, 0)
     table = SubtreeTable()
@@ -480,20 +356,12 @@ def subtree_search(
     return SubtreeResult(witness, tried)
 
 
-def is_subarborescence(
-    pq: Vcpc,
-    p: Vcpc,
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-    ordered: bool = False,
-) -> tuple[int, ...] | None:
+def is_subarborescence(pq: Vcpc, p: Vcpc) -> tuple[int, ...] | None:
     """Witness embedding pq's tree into p's tree, or ``None``.
 
-    See :func:`subtree_search`.  The ordered witness is the
-    lexicographically first index set satisfying all three conditions;
-    its positions ``idx[0..n'-2]`` name the prune steps of p whose edges
-    form the matched sub-arborescence.
+    See :func:`subtree_search`.
     """
-    return subtree_search(pq, p, candidate_cap, ordered).witness
+    return subtree_search(pq, p).witness
 
 
 # --- undirected extension -------------------------------------------------
@@ -532,8 +400,7 @@ def undirected_subtree(
     x away from x, g onto z.  So the test is whether, for some directed
     edge (x, z) of t2 with x colored like f, the side of z takes t1's side
     of g, root on root.  Both trees' sides are interned into one table.
-    ``candidate_cap`` bounds only the ordered index-set search, which
-    this test does not use; it is accepted and ignored.
+    ``candidate_cap`` is accepted for compatibility and ignored.
     """
     if t1.n > t2.n:
         return False

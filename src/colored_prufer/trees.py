@@ -210,6 +210,8 @@ def load_color_table(fp: IO[str]) -> dict[str, int]:
         table = json.load(fp)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"invalid JSON ({exc.msg})") from exc
+    except RecursionError:
+        raise ParseError(1, "JSON nested too deeply") from None
     if not isinstance(table, dict) or any(
         not isinstance(k, str) or type(v) is not int or v < 0
         for k, v in table.items()
@@ -283,6 +285,8 @@ def iter_corpus(
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ParseError(line_no, f"invalid JSON ({exc.msg})") from exc
+        except RecursionError:
+            raise ParseError(line_no, "JSON nested too deeply") from None
         edges, colors, root, tree_id = _tree_from_json(obj, line_no, color_table)
         try:
             tree = build_tree(edges, colors, root=root, tree_id=tree_id or None)

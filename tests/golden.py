@@ -95,7 +95,6 @@ def incident_host() -> ColoredArborescence:
 
 INCIDENT_HOST_PARENTS = (2, 2, 1, 0, 0, None)
 INCIDENT_HOST_COLORS = (IG, IV, IR, IB, IR, IV)
-INCIDENT_BOXED_INDEXES = (0, 1, 2, 5)
 
 
 def incident_middle_host() -> ColoredArborescence:

@@ -216,6 +216,44 @@ def test_json_booleans_exit_2(cli, tmp_path):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("command, paths", [("encode", 1), ("decode", 1), ("subtree", 2)])
+def test_non_utf8_input_exit_2(cli, tmp_path, command, paths):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b'\xff\xfe{"edges": [], "colors": {"0": 1}}\n')
+    code, out, err = cli([command] + [str(bad)] * paths)
+    assert code == 2 and out == ""
+    assert err.startswith("error: input is not valid UTF-8") and err.count("\n") == 1
+
+
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize(
+    "command, where",
+    [("encode", "input"), ("encode", "color-table"), ("decode", "input")],
+)
+def test_deeply_nested_json_exit_2(cli, tmp_path, command, where):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP + "\n")
+    if where == "color-table":
+        args = [command, "-", "--color-table", str(path)]
+        stdin = '{"edges": [], "colors": {"0": 1}}\n'
+    else:
+        args, stdin = [command, str(path)], ""
+    code, out, err = cli(args, stdin)
+    assert code == 2 and out == ""
+    assert err == "error: line 1: JSON nested too deeply\n"
+
+
+def test_poset_workers_accepted_and_ignored(cli):
+    text = corpus_text([vcpc_build_tree(), subtree_host_1(), subtree_host_2()])
+    _, expected, _ = cli(["poset"], text)
+    assert cli(["poset", "--workers", "3"], text)[1] == expected
+    with pytest.raises(SystemExit) as exc:
+        cli(["poset", "--workers", "0"], text)
+    assert exc.value.code == 2
+
+
 def test_console_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "colored_prufer", "gen", "--m", "2", "--n", "1",

@@ -121,31 +121,6 @@ def test_poset_closure_is_transitive():
                 assert (a, d) in relation
 
 
-def test_poset_workers_match_sequential():
-    trees = random_trees(6, 80, 2, seed=55)
-    classes = partition_by_isomorphism(trees)
-    sequential = subtree_poset(classes, workers=1)
-    parallel = subtree_poset(classes, workers=2)
-    assert sequential.relation() == parallel.relation()
-    assert sequential.below == parallel.below
-
-
-def test_poset_workers_match_sequential_where_orders_diverge():
-    # seed 17 holds three pairs the ordered search misses; each of the
-    # workers' chunks of jobs is decided on a subtree table of its own
-    classes = partition_by_isomorphism(random_trees(10, 60, 2, seed=17))
-    sequential = subtree_poset(classes, workers=1)
-    parallel = subtree_poset(classes, workers=2)
-    assert sequential.below == parallel.below
-    reps = {c.class_id: c.representative for c in classes}
-    missed = [
-        (a, b)
-        for a, b in sequential.below
-        if a != b and is_subarborescence(reps[a], reps[b], ordered=True) is None
-    ]
-    assert missed
-
-
 def test_most_representative_two_paths():
     # path of three same-colored vertices and its two-vertex sub-path
     p3 = build_tree([(0, 1), (1, 2)], {0: 7, 1: 7, 2: 7})

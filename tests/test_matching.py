@@ -1,4 +1,4 @@
-"""Code-level predicates: isomorphism, shape, adjacency, subtree matching."""
+"""Code-level predicates: isomorphism, adjacency, subtree matching."""
 
 import itertools
 import time
@@ -7,33 +7,24 @@ import pytest
 
 from colored_prufer import (
     Vcpc,
-    adjacent_pairs,
     brute_canonical,
     build_tree,
     code_adjacent,
     codes_isomorphic,
-    color_matching_index_sets,
     decode,
     encode_canonical,
     enumerate_embeddings,
     has_embedding,
-    incident_edge_ok,
     is_subarborescence,
-    shape,
     subtree_search,
     subtree_vertices,
     undirected_subtree,
 )
-from colored_prufer.errors import (
-    CandidateExplosion,
-    IndexOutOfRange,
-    SentinelCompared,
-)
-from colored_prufer.matching import SubtreeResult
+from colored_prufer.errors import IndexOutOfRange, SentinelCompared
+from colored_prufer.matching import prune_children
 from colored_prufer.oracle import random_trees
 
 from golden import (
-    INCIDENT_BOXED_INDEXES,
     automorphic_tree,
     descent_pair,
     divergent_pair,
@@ -76,30 +67,6 @@ def test_codes_isomorphic_agrees_with_brute_force():
         assert codes_isomorphic(codes[i], codes[j]) == (keys[i] == keys[j])
 
 
-# --- shape ---------------------------------------------------------------------
-
-
-def test_shape_examples():
-    assert shape((0, 2, 2, 0)) == (0, 1, 1, 0)
-    assert shape((1, 2, 3, 4, 5, 6)) == shape((1, 4, 5, 8, 9, 10))
-    assert shape((1, 2, 3, 4, 5, 6)) != shape((1, 1, 2, 3, 4, 5))
-    assert shape(()) == ()
-
-
-def test_shape_preserves_order_relations_and_image():
-    import random as _random
-
-    rng = _random.Random(0)
-    for _ in range(60):
-        xs = [rng.randint(-5, 5) for _ in range(rng.randint(0, 10))]
-        s = shape(xs)
-        assert set(s) == set(range(len(set(xs))))
-        for i in range(len(xs)):
-            for j in range(len(xs)):
-                assert (xs[i] < xs[j]) == (s[i] < s[j])
-        assert shape(s) == s
-
-
 # --- adjacency ------------------------------------------------------------------
 
 
@@ -133,7 +100,8 @@ def test_adjacency_interval_lies_in_parent_branches():
     for t in random_trees(10, 60, 3, seed=37):
         code, trace = encode_canonical(t)
         order = canonical_order(t)
-        for a, b in adjacent_pairs(code.parents):
+        kids = prune_children(code.parents)
+        for a, b in ((a, b) for b in range(t.n) for a in kids[b]):
             child, parent = trace.pruned[a], trace.pruned[b]
             blocks = sorted(
                 branch_partition(t, parent), key=lambda blk: min(map(order.phi.__getitem__, blk))
@@ -156,63 +124,13 @@ def test_code_adjacent_matches_prune_trace():
         for i in range(n - 1):
             for j in range(i + 1, n - 1):
                 assert code_adjacent(code, i, j) == ((j, i) in edges)
-        assert set(adjacent_pairs(code.parents)) == {(i, j) for (j, i) in edges}
-
-
-# --- candidate streams -----------------------------------------------------------
-
-
-def _codes_for_colors(p_colors, q_colors):
-    def fabricate(colors):
-        n = len(colors)
-        parents = tuple([0] * (n - 1)) + (None,) if n > 1 else (None,)
-        return Vcpc(parents=parents, colors=tuple(colors), n=n)
-
-    return fabricate(p_colors), fabricate(q_colors)
-
-
-def test_color_matching_index_sets_examples():
-    p, q = _codes_for_colors([0, 1, 0], [0, 0])
-    assert list(color_matching_index_sets(p, q)) == [(0, 2)]
-    p, q = _codes_for_colors([0, 1, 0], [7])
-    assert list(color_matching_index_sets(p, q)) == []
-    code = _code(subtree_host_1())
-    assert tuple(range(code.n)) in set(color_matching_index_sets(code, code))
-
-
-def test_color_matching_index_sets_lexicographic_and_complete():
-    code = _code(subtree_host_1())
-    small = _code(vcpc_build_tree())
-    got = list(color_matching_index_sets(code, small))
-    expected = [
-        idx
-        for idx in itertools.combinations(range(code.n), small.n)
-        if all(code.colors[idx[j]] == small.colors[j] for j in range(small.n))
-    ]
-    assert got == expected  # combinations already yields lexicographic order
-
-
-# --- incident edge property -------------------------------------------------------
-
-
-def test_incident_edge_golden_slice_rejected():
-    host = _code(incident_host())
-    query = _code(incident_query())
-    assert not incident_edge_ok(host.parents, query.parents, INCIDENT_BOXED_INDEXES)
-
-
-def test_incident_edge_identity_passes():
-    code = _code(subtree_host_2())
-    assert incident_edge_ok(code.parents, code.parents, tuple(range(code.n)))
+        kids = prune_children(code.parents)
+        assert {(j, i) for j in range(n) for i in kids[j]} == edges
 
 
 def test_incident_edge_requires_descent():
     query, host = descent_pair()
-    hc, qc = _code(host), _code(query)
-    # the lone color-matching candidate fails only the descent half
-    [candidate] = list(color_matching_index_sets(hc, qc))
-    assert not incident_edge_ok(hc.parents, qc.parents, candidate)
-    assert is_subarborescence(qc, hc) is None
+    assert is_subarborescence(_code(query), _code(host)) is None
     assert not has_embedding(query, host)
 
 
@@ -222,12 +140,12 @@ def test_incident_edge_requires_descent():
 def test_subtree_golden_verdicts():
     query = _code(vcpc_build_tree())
     host1, host2 = _code(subtree_host_1()), _code(subtree_host_2())
-    assert is_subarborescence(query, host1, ordered=True) == (2, 5, 6, 8, 9)
-    assert is_subarborescence(query, host2, ordered=True) == (3, 4, 5, 7, 8)
-    assert is_subarborescence(_code(subtree_query_3()), host2, ordered=True) is None
-    assert is_subarborescence(_code(incident_query()), _code(incident_host()), ordered=True) is None
+    assert is_subarborescence(query, host1) == (2, 5, 6, 8, 9)
+    assert is_subarborescence(query, host2) == (3, 4, 5, 7, 8)
+    assert is_subarborescence(_code(subtree_query_3()), host2) is None
+    assert is_subarborescence(_code(incident_query()), _code(incident_host())) is None
     assert is_subarborescence(
-        _code(incident_query()), _code(incident_middle_host()), ordered=True
+        _code(incident_query()), _code(incident_middle_host())
     ) == (0, 2, 4, 5)
 
 
@@ -282,8 +200,8 @@ def test_subtree_agrees_with_ordered_oracle_and_is_sound():
         for b in range(len(classes)):
             if a == b or codes[a].n > codes[b].n:
                 continue
-            witness = is_subarborescence(codes[a], codes[b], ordered=True)
-            assert (witness is not None) == has_embedding(reps[a], reps[b], ordered=True)
+            witness = is_subarborescence(codes[a], codes[b])
+            assert (witness is not None) == has_embedding(reps[a], reps[b], ordered=False)
             if witness is not None:
                 assert _witness_is_sound(codes[a], reps[b], witness)
                 maps = enumerate_embeddings(reps[a], reps[b], ordered=False)
@@ -307,15 +225,11 @@ def test_subtree_transitive_on_random_triples():
     assert hits > 0
 
 
-def test_candidate_cap_raises():
+def test_candidate_cap_argument_is_ignored():
     host = _code(build_tree([(0, i) for i in range(1, 9)], {v: 0 for v in range(9)}))
     query = _code(build_tree([(0, 1), (0, 2)], {0: 0, 1: 0, 2: 0}))
-    with pytest.raises(CandidateExplosion):
-        subtree_search(query, host, candidate_cap=3, ordered=True)
-    result = subtree_search(query, host, candidate_cap=10**6, ordered=True)
-    assert isinstance(result, SubtreeResult)
-    assert result.witness is not None
-    assert result.candidates_examined >= 1
+    assert subtree_search(query, host, 1) == subtree_search(query, host)
+    assert subtree_search(query, host).witness is not None
 
 
 # --- undirected extension -----------------------------------------------------------
@@ -385,15 +299,14 @@ def test_ordered_unordered_divergence_is_one_sided():
     assert not has_embedding(query, host, ordered=True)
     witness = is_subarborescence(_code(query), _code(host))
     assert witness is not None and _witness_is_sound(_code(query), host, witness)
-    assert is_subarborescence(_code(query), _code(host), ordered=True) is None
 
 
-# --- exact decider at sizes where the ordered search diverges ---------------------
+# --- exact decider at sizes where ordered inclusion diverges ----------------------
 
 
 def test_exact_decider_matches_unordered_oracle_where_ordered_misses():
     # these seeds hold 10 of the 19 pairs of random_trees(10, 60, 2, 0..39)
-    # that the ordered index-set search misses
+    # that ordered inclusion (the ordered oracle) misses
     checked = ordered_misses = 0
     for seed in (0, 2, 3, 4, 14, 17):
         trees = random_trees(10, 60, 2, seed)
@@ -407,8 +320,7 @@ def test_exact_decider_matches_unordered_oracle_where_ordered_misses():
             assert (witness is not None) == expected, (seed, i, j)
             if witness is not None:
                 assert _witness_is_sound(codes[i], trees[j], witness)
-            ordered = is_subarborescence(codes[i], codes[j], ordered=True)
-            ordered_misses += expected and ordered is None
+            ordered_misses += expected and not has_embedding(trees[i], trees[j], ordered=True)
     assert checked > 8000 and ordered_misses == 10
 
 
@@ -456,9 +368,3 @@ def test_long_path_in_longer_path_with_witness():
     assert witness is not None and _witness_is_sound(_code(query), host, witness)
     assert is_subarborescence(_code(host), _code(query)) is None
     assert undirected_subtree(query, host)
-
-
-def test_ordered_search_on_long_path_needs_no_recursion():
-    query, host = _code(_path(1200)), _code(_path(1500))
-    witness = is_subarborescence(query, host, ordered=True)
-    assert witness == tuple(range(1200))
