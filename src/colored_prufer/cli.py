@@ -68,7 +68,10 @@ def _read_codes(args) -> Iterator[Vcpc]:
                 raise InvalidCode(f"line {line_no}: invalid JSON ({exc.msg})") from exc
             except RecursionError:
                 raise InvalidCode(f"line {line_no}: JSON nested too deeply") from None
-            code = Vcpc.from_json(obj)
+            try:
+                code = Vcpc.from_json(obj)
+            except InvalidCode as exc:
+                raise InvalidCode(f"line {line_no}: {exc}") from exc
             yield code
     finally:
         if stream is not sys.stdin:

@@ -25,6 +25,7 @@ them drops below ``parents[a]``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -349,7 +350,14 @@ def subtree_search(
     """
     if pq.n > p.n:
         return SubtreeResult(None, 0)
-    if any(pq.colors.count(c) > p.colors.count(c) for c in set(pq.colors)):
+    # Color-count dominance.  A C-level count per distinct color is cheapest
+    # for the few colors of a typical query; a Counter keeps many linear.
+    needed = set(pq.colors)
+    if len(needed) <= 8:
+        short = any(pq.colors.count(c) > p.colors.count(c) for c in needed)
+    else:
+        short = not Counter(pq.colors) <= Counter(p.colors)
+    if short:
         return SubtreeResult(None, 0)
     table = SubtreeTable()
     witness, tried = table.search(table.intern_code(pq), table.intern_code(p))

@@ -4,14 +4,12 @@ A tree is stored with vertex ids normalized to ``0..n-1`` (sorted order of
 the original ids), the root first in no particular sense, and per-vertex
 children tuples sorted ascending.  Children order carries no semantics;
 every meaningful order comes from canonicalization.  Instances are frozen
-and hashable, so they are safe to share between workers and to use as
-cache keys.
+and hashable, so they can serve as cache keys.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -63,12 +61,9 @@ class ColoredArborescence:
         return tuple(tuple(sorted(x)) for x in adj)
 
     def bfs_order(self) -> list[VertexId]:
-        order = []
-        queue = deque([self.root])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            queue.extend(self.children[v])
+        order = [self.root]
+        for v in order:
+            order.extend(self.children[v])
         return order
 
 
@@ -83,35 +78,32 @@ def build_tree(
     The root is inferred as the unique vertex of in-degree zero; passing
     ``root`` additionally asserts the inference.  Raises a
     :class:`TreeStructureError` subclass naming the offending vertex or
-    edge when the input is not a colored arborescence.
+    edge when the input is not a colored arborescence.  Of several faults
+    the first in this order is reported: per edge in list order a self-loop,
+    then a repeated edge or second parent; no vertices; an isolated vertex;
+    the root count; the declared root; reachability; then by ascending id a
+    missing color and (after ``int`` coerces every color) a negative one.
     """
-    vertices = set(colors)
-    for p, c in edges:
-        vertices.add(p)
-        vertices.add(c)
-    if not vertices:
-        raise DisconnectedVertex("empty tree: no vertices supplied")
-
-    seen: set[tuple[int, int]] = set()
-    in_edge: dict[int, tuple[int, int]] = {}
+    parent: dict[int, int] = {}
+    kids: dict[int, list[int]] = {}
     for p, c in edges:
         if p == c:
             raise CycleDetected(f"self-loop on vertex {p}")
-        if (p, c) in seen:
-            raise DuplicateEdge(f"edge ({p}, {c}) appears twice")
-        seen.add((p, c))
-        if c in in_edge:
-            raise DuplicateEdge(
-                f"vertex {c} has two in-edges {in_edge[c]} and {(p, c)}"
-            )
-        in_edge[c] = (p, c)
+        if c in parent:
+            q = parent[c]
+            if q == p:
+                raise DuplicateEdge(f"edge ({p}, {c}) appears twice")
+            raise DuplicateEdge(f"vertex {c} has two in-edges {(q, c)} and {(p, c)}")
+        parent[c] = p
+        kids.setdefault(p, []).append(c)
 
-    touched = {v for e in edges for v in e}
-    roots = sorted(v for v in vertices if v not in in_edge)
-    if edges:
-        for v in roots:
-            if v not in touched:
-                raise DisconnectedVertex(f"vertex {v} has no incident edges")
+    vertices = {*colors, *parent, *kids}
+    if not vertices:
+        raise DisconnectedVertex("empty tree: no vertices supplied")
+    roots = sorted(vertices.difference(parent))
+    isolated = [v for v in roots if v not in kids]
+    if edges and isolated:
+        raise DisconnectedVertex(f"vertex {isolated[0]} has no incident edges")
     if len(roots) > 1:
         raise MultipleRoots(f"vertices {roots} all have in-degree 0")
     if not roots:
@@ -122,39 +114,37 @@ def build_tree(
             f"declared root {root} differs from inferred root {inferred_root}"
         )
 
-    raw_children: dict[int, list[int]] = {v: [] for v in vertices}
-    for p, c in edges:
-        raw_children[p].append(c)
-
-    reached = {inferred_root}
-    queue = deque([inferred_root])
-    while queue:
-        v = queue.popleft()
-        for c in raw_children[v]:
-            reached.add(c)
-            queue.append(c)
+    # With one parent per vertex, only a cycle can hide a vertex from the root.
+    reached = [inferred_root]
+    for v in reached:
+        reached.extend(kids.get(v, ()))
     if len(reached) != len(vertices):
-        missing = min(vertices - reached)
+        missing = min(vertices.difference(reached))
         raise CycleDetected(f"vertex {missing} is not reachable from the root")
 
-    for v in sorted(vertices):
-        if v not in colors:
-            raise MissingColor(f"vertex {v} has no color")
-
     source_ids = tuple(sorted(vertices))
-    new_id = {old: new for new, old in enumerate(source_ids)}
     n = len(source_ids)
-    children = tuple(
-        tuple(sorted(new_id[c] for c in raw_children[old])) for old in source_ids
-    )
-    color_row = tuple(int(colors[old]) for old in source_ids)
-    for v, col in zip(source_ids, color_row):
-        if col < 0:
-            raise MissingColor(f"vertex {v} has negative color {col}")
+    if len(colors) != n:
+        missing = min(vertices.difference(colors))
+        raise MissingColor(f"vertex {missing} has no color")
+    color_row = tuple(map(int, map(colors.__getitem__, source_ids)))
+    if min(color_row) < 0:
+        v, col = next(vc for vc in zip(source_ids, color_row) if vc[1] < 0)
+        raise MissingColor(f"vertex {v} has negative color {col}")
+
+    # Relabel unless the ids already are 0..n-1, all of type int.
+    id_types = {*map(type, source_ids), *map(type, parent), *map(type, kids)}
+    if id_types != {int} or source_ids[0] != 0 or source_ids[-1] != n - 1:
+        new_id = {old: new for new, old in enumerate(source_ids)}
+        kids = {new_id[p]: [new_id[c] for c in cs] for p, cs in kids.items()}
+        inferred_root = new_id[inferred_root]
+    children: list[tuple[int, ...]] = [()] * n
+    for p, cs in kids.items():
+        children[p] = tuple(sorted(cs))
     return ColoredArborescence(
         n=n,
-        root=new_id[inferred_root],
-        children=children,
+        root=inferred_root,
+        children=tuple(children),
         colors=color_row,
         tree_id=tree_id,
         source_ids=source_ids,
@@ -234,13 +224,12 @@ def _tree_from_json(obj: dict, line: int, color_table: Mapping[str, int] | None)
 
     edges: list[tuple[int, int]] = []
     for e in raw_edges:
-        if (
-            not isinstance(e, list)
-            or len(e) != 2
-            or not all(type(x) is int for x in e)
-        ):
-            raise ParseError(line, f"bad edge entry {e!r}")
-        edges.append((e[0], e[1]))
+        if isinstance(e, list) and len(e) == 2:
+            p, c = e
+            if type(p) is int and type(c) is int:
+                edges.append((p, c))
+                continue
+        raise ParseError(line, f"bad edge entry {e!r}")
 
     colors: dict[int, int] = {}
     for key, value in raw_colors.items():

@@ -1,5 +1,6 @@
 """Command-line surface: JSONL streams, exit codes, pipe composition."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -83,6 +84,39 @@ def test_decode_corrupted_sentinel_exit_2(cli):
     bad = json.dumps({"parents": [None, 0, None], "colors": [0, 0, 0], "n": 3})
     code, _, err = cli(["decode"], bad + "\n")
     assert code == 2 and "error" in err
+
+
+def test_decode_bad_second_line_names_its_line(cli):
+    good = json.dumps({"parents": [0, None], "colors": [0, 1], "n": 2})
+    bad = json.dumps({"parents": [0, 0], "colors": [0, 0], "n": 2})
+    code, _, err = cli(["decode"], f"{good}\n{bad}\n")
+    assert code == 2
+    assert err == "error: line 2: terminal sentinel missing from the parents row\n"
+
+
+# sha256 of each command's output on ``gen --m 30 --n 2000 --c 4 --seed 7``;
+# any change to parsing, canonical order or encoding that moves a byte fails.
+INGEST_DIGESTS = {
+    "gen": "35cbbdaddf06faa1a7d054476af7c95872ae73454d6900da04ea89e92b58cc9d",
+    "encode": "3d10bc33ebc83e9d1e09e15645262701ee2c79fbc7577cba10d79af51787a161",
+    "canon": "59f9be4f7debe8c5eefc56b097e6806206add43f325c92295c771dc704b96666",
+    "iso-classes": "65fad071a2be3ee07b2fdabaa0eb056509cacd6045b2247db88d382b2f8feda6",
+    "decode --strict": "42cd752012c4fb81f8f08d3026073e78b19a6ee98aac0986582e1330f749f959",
+}
+
+
+def test_ingest_outputs_match_golden_digests(cli):
+    _, corpus, _ = cli(["gen", "--m", "30", "--n", "2000", "--c", "4", "--seed", "7"])
+    _, codes, _ = cli(["encode"], corpus)
+    outputs = {
+        "gen": corpus,
+        "encode": codes,
+        "canon": cli(["canon"], corpus)[1],
+        "iso-classes": cli(["iso-classes"], corpus)[1],
+        "decode --strict": cli(["decode", "--strict"], codes)[1],
+    }
+    digests = {k: hashlib.sha256(v.encode()).hexdigest() for k, v in outputs.items()}
+    assert digests == INGEST_DIGESTS
 
 
 def test_gen_deterministic(cli):

@@ -167,6 +167,32 @@ def test_subtree_larger_query_is_never_contained():
     assert is_subarborescence(_code(subtree_host_1()), _code(vcpc_build_tree())) is None
 
 
+def _star(leaf_colors):
+    k = len(leaf_colors)
+    return build_tree([(0, v) for v in range(1, k + 1)], dict(enumerate([0, *leaf_colors])))
+
+
+@pytest.mark.parametrize("k", [2, 40], ids=["few-colors", "many-colors"])
+def test_subtree_color_count_prefilter_rejects(k):
+    # the query fits by size but needs k leaves of distinct colors 1..k,
+    # and one host lacks color k
+    query = _code(_star(range(1, k + 1)))
+    short = _code(_star([*range(1, k), 1, 1]))
+    result = subtree_search(query, short)
+    assert (result.witness, result.candidates_examined) == (None, 0)
+    assert subtree_search(query, _code(_star([*range(1, k + 1), 1]))).witness
+
+
+def test_subtree_color_count_prefilter_is_linear():
+    # 4,000 distinct colors: a count pass per color would take about 0.3 s
+    query = _code(_star(range(1, 4001)))
+    host = _code(_star([*range(1, 4000), 1, 1]))
+    start = time.perf_counter()
+    result = subtree_search(query, host)
+    assert (result.witness, result.candidates_examined) == (None, 0)
+    assert time.perf_counter() - start < 0.05
+
+
 def _witness_is_sound(query_code, host_tree, witness):
     """Materialize the matched edges and check the induced embedding."""
     host_code, trace = encode_canonical(host_tree)

@@ -41,38 +41,143 @@ def test_build_single_vertex():
     assert leaves(t) == {0}
 
 
+def _build_error(edges, colors, root=None):
+    """Class and message of the error ``build_tree`` raises for the input."""
+    with pytest.raises(Exception) as err:
+        build_tree(edges, colors, root=root)
+    return type(err.value), str(err.value)
+
+
 def test_build_cycle_detected():
-    with pytest.raises(CycleDetected):
-        build_tree([(0, 1), (1, 0)], {0: 0, 1: 0})
-    with pytest.raises(CycleDetected):
-        build_tree([(0, 0)], {0: 0})
+    assert _build_error([(0, 1), (1, 0)], {0: 0, 1: 0}) == (
+        CycleDetected,
+        "no vertex has in-degree 0; the edges contain a cycle",
+    )
+    assert _build_error([(0, 1), (1, 1)], {0: 0, 1: 0}) == (
+        CycleDetected,
+        "self-loop on vertex 1",
+    )
     # cycle hanging off a valid root
-    with pytest.raises(CycleDetected):
-        build_tree([(0, 1), (2, 3), (3, 2)], {v: 0 for v in range(4)})
+    assert _build_error([(0, 1), (2, 3), (3, 2)], {v: 0 for v in range(4)}) == (
+        CycleDetected,
+        "vertex 2 is not reachable from the root",
+    )
 
 
 def test_build_multiple_roots():
-    with pytest.raises(MultipleRoots):
-        build_tree([(0, 1), (2, 3)], {v: 0 for v in range(4)})
-    with pytest.raises(MultipleRoots):
-        build_tree([(0, 1)], {0: 0, 1: 0}, root=1)
+    assert _build_error([(0, 1), (2, 3)], {v: 0 for v in range(4)}) == (
+        MultipleRoots,
+        "vertices [0, 2] all have in-degree 0",
+    )
+    assert _build_error([(0, 1)], {0: 0, 1: 0}, root=1) == (
+        MultipleRoots,
+        "declared root 1 differs from inferred root 0",
+    )
 
 
 def test_build_disconnected_vertex():
-    with pytest.raises(DisconnectedVertex):
-        build_tree([(0, 1)], {0: 0, 1: 0, 5: 1})
+    assert _build_error([(0, 1)], {0: 0, 1: 0, 5: 1}) == (
+        DisconnectedVertex,
+        "vertex 5 has no incident edges",
+    )
+    assert _build_error([], {}) == (
+        DisconnectedVertex,
+        "empty tree: no vertices supplied",
+    )
 
 
 def test_build_missing_color():
-    with pytest.raises(MissingColor):
-        build_tree([(0, 1), (0, 2)], {0: 0, 1: 1})
+    assert _build_error([(0, 1), (0, 2)], {0: 0, 1: 1}) == (
+        MissingColor,
+        "vertex 2 has no color",
+    )
+    assert _build_error([(0, 1), (0, 2)], {0: 0, 1: -1, 2: -2}) == (
+        MissingColor,
+        "vertex 1 has negative color -1",
+    )
 
 
 def test_build_duplicate_edge_and_double_parent():
-    with pytest.raises(DuplicateEdge):
-        build_tree([(0, 1), (0, 1)], {0: 0, 1: 0})
-    with pytest.raises(DuplicateEdge):
-        build_tree([(0, 2), (1, 2)], {0: 0, 1: 0, 2: 0})
+    assert _build_error([(0, 1), (0, 2), (0, 1)], {0: 0, 1: 0, 2: 0}) == (
+        DuplicateEdge,
+        "edge (0, 1) appears twice",
+    )
+    assert _build_error([(0, 2), (1, 2)], {0: 0, 1: 0, 2: 0}) == (
+        DuplicateEdge,
+        "vertex 2 has two in-edges (0, 2) and (1, 2)",
+    )
+
+
+@pytest.mark.parametrize(
+    "edges, colors, root, expected",
+    [
+        # edge faults are reported in edge-list order
+        ([(0, 1), (0, 1), (2, 2)], {0: 0, 1: 0, 2: 0}, None,
+         (DuplicateEdge, "edge (0, 1) appears twice")),
+        ([(2, 2), (0, 1), (0, 1)], {0: 0, 1: 0, 2: 0}, None,
+         (CycleDetected, "self-loop on vertex 2")),
+        # an isolated vertex comes before the root count, smallest id first
+        ([(0, 1), (2, 3)], dict.fromkeys([0, 1, 2, 3, 9, 7], 0), None,
+         (DisconnectedVertex, "vertex 7 has no incident edges")),
+        # the root count comes before colors
+        ([(0, 1), (2, 3)], {0: 0}, None,
+         (MultipleRoots, "vertices [0, 2] all have in-degree 0")),
+        # the declared root comes before reachability
+        ([(0, 1), (2, 3), (3, 2)], {v: 0 for v in range(4)}, 2,
+         (MultipleRoots, "declared root 2 differs from inferred root 0")),
+        # reachability comes before colors
+        ([(0, 1), (2, 3), (3, 2)], {0: 0}, None,
+         (CycleDetected, "vertex 2 is not reachable from the root")),
+        # a missing color comes before a negative one, wherever they sit
+        ([(0, 1), (0, 2)], {0: -1, 1: 0}, None,
+         (MissingColor, "vertex 2 has no color")),
+        # every color is coerced with int() before any is checked for sign
+        ([(0, 1)], {0: "x", 1: -1}, None,
+         (ValueError, "invalid literal for int() with base 10: 'x'")),
+    ],
+    ids=[
+        "duplicate-before-self-loop",
+        "self-loop-before-duplicate",
+        "isolated-before-multiple-roots",
+        "multiple-roots-before-missing-color",
+        "declared-root-before-unreachable",
+        "unreachable-before-missing-color",
+        "missing-before-negative-color",
+        "coercion-before-negative-color",
+    ],
+)
+def test_build_check_order_on_several_faults(edges, colors, root, expected):
+    assert _build_error(edges, colors, root=root) == expected
+
+
+def test_build_shifted_ids_and_shuffled_edges_match_dense_build():
+    rng = random.Random(11)
+    for t in random_trees(12, 40, 3, seed=5):
+        edges = [(u, v) for u in range(t.n) for v in t.children[u]]
+        colors = dict(enumerate(t.colors))
+        dense = build_tree(edges, colors)
+        rng.shuffle(edges)
+        shifted = build_tree(
+            [(u + 1000, v + 1000) for u, v in edges],
+            {v + 1000: c for v, c in colors.items()},
+        )
+        for built in (dense, shifted, build_tree(edges, colors)):
+            assert (built.n, built.root, built.children, built.colors) == (
+                t.n, t.root, t.children, t.colors,
+            )
+        assert dense.source_ids == tuple(range(t.n))
+        assert shifted.source_ids == tuple(range(1000, 1000 + t.n))
+
+
+def test_build_coerces_colors_and_ids_to_int():
+    t = build_tree([(0, 1)], {0: 2.0, 1: True})
+    assert t.colors == (2, 1)
+    assert [type(c) for c in t.colors] == [int, int]
+    # ids equal to 0..n-1 but not of type int still come out as ints
+    for edges, colors in [([(0.0, 1.0)], {0: 0, 1: 0}), ([(0, 1)], {False: 0, True: 0})]:
+        t = build_tree(edges, colors)
+        assert (t.root, t.children) == (0, ((1,), ()))
+        assert {type(v) for v in (t.root, *t.children[0])} == {int}
 
 
 def test_build_edge_order_independent():
