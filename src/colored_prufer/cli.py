@@ -56,7 +56,8 @@ def _read_trees(args) -> Iterator[ColoredArborescence]:
             stream.close()
 
 
-def _read_codes(args) -> Iterator[Vcpc]:
+def _read_code_lines(args) -> Iterator[tuple[int, object]]:
+    """Line number and parsed JSON of every non-blank input line."""
     stream = _open_in(args.input)
     try:
         for line_no, raw in enumerate(stream, start=1):
@@ -68,11 +69,7 @@ def _read_codes(args) -> Iterator[Vcpc]:
                 raise InvalidCode(f"line {line_no}: invalid JSON ({exc.msg})") from exc
             except RecursionError:
                 raise InvalidCode(f"line {line_no}: JSON nested too deeply") from None
-            try:
-                code = Vcpc.from_json(obj)
-            except InvalidCode as exc:
-                raise InvalidCode(f"line {line_no}: {exc}") from exc
-            yield code
+            yield line_no, obj
     finally:
         if stream is not sys.stdin:
             stream.close()
@@ -103,8 +100,11 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    for position, code in enumerate(_read_codes(args)):
-        tree = decode(code, strict=args.strict)
+    for position, (line_no, parsed) in enumerate(_read_code_lines(args)):
+        try:
+            tree = decode(Vcpc.from_json(parsed), strict=args.strict)
+        except InvalidCode as exc:
+            raise InvalidCode(f"line {line_no}: {exc}") from exc
         obj = tree_to_json(tree)
         obj["id"] = f"t{position}"
         _emit(obj)

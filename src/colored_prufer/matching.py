@@ -350,14 +350,8 @@ def subtree_search(
     """
     if pq.n > p.n:
         return SubtreeResult(None, 0)
-    # Color-count dominance.  A C-level count per distinct color is cheapest
-    # for the few colors of a typical query; a Counter keeps many linear.
-    needed = set(pq.colors)
-    if len(needed) <= 8:
-        short = any(pq.colors.count(c) > p.colors.count(c) for c in needed)
-    else:
-        short = not Counter(pq.colors) <= Counter(p.colors)
-    if short:
+    # color-count dominance, linear in the number of vertices
+    if not Counter(pq.colors) <= Counter(p.colors):
         return SubtreeResult(None, 0)
     table = SubtreeTable()
     witness, tried = table.search(table.intern_code(pq), table.intern_code(p))

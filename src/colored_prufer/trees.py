@@ -93,7 +93,9 @@ def build_tree(
             q = parent[c]
             if q == p:
                 raise DuplicateEdge(f"edge ({p}, {c}) appears twice")
-            raise DuplicateEdge(f"vertex {c} has two in-edges {(q, c)} and {(p, c)}")
+            # name c as the first edge spelled it (1 and 1.0 are one key)
+            first = (q, next(k for k in parent if k is c or k == c))
+            raise DuplicateEdge(f"vertex {c} has two in-edges {first} and {(p, c)}")
         parent[c] = p
         kids.setdefault(p, []).append(c)
 

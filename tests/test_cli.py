@@ -94,6 +94,15 @@ def test_decode_bad_second_line_names_its_line(cli):
     assert err == "error: line 2: terminal sentinel missing from the parents row\n"
 
 
+def test_decode_strict_non_canonical_second_line_names_its_line(cli):
+    canonical = json.dumps({"parents": [0, 0, None], "colors": [1, 2, 0], "n": 3})
+    swapped = json.dumps({"parents": [0, 0, None], "colors": [2, 1, 0], "n": 3})
+    assert cli(["decode", "--strict"], f"{canonical}\n{canonical}\n")[0] == 0
+    code, _, err = cli(["decode", "--strict"], f"{canonical}\n\n{swapped}\n")
+    assert code == 2
+    assert err == "error: line 3: code does not re-encode to itself\n"
+
+
 # sha256 of each command's output on ``gen --m 30 --n 2000 --c 4 --seed 7``;
 # any change to parsing, canonical order or encoding that moves a byte fails.
 INGEST_DIGESTS = {

@@ -53,6 +53,7 @@ def test_build_cycle_detected():
         CycleDetected,
         "no vertex has in-degree 0; the edges contain a cycle",
     )
+    assert _build_error([(0, 0)], {0: 0}) == (CycleDetected, "self-loop on vertex 0")
     assert _build_error([(0, 1), (1, 1)], {0: 0, 1: 0}) == (
         CycleDetected,
         "self-loop on vertex 1",
@@ -98,6 +99,10 @@ def test_build_missing_color():
 
 
 def test_build_duplicate_edge_and_double_parent():
+    assert _build_error([(0, 1), (0, 1)], {0: 0, 1: 0}) == (
+        DuplicateEdge,
+        "edge (0, 1) appears twice",
+    )
     assert _build_error([(0, 1), (0, 2), (0, 1)], {0: 0, 1: 0, 2: 0}) == (
         DuplicateEdge,
         "edge (0, 1) appears twice",
@@ -116,6 +121,11 @@ def test_build_duplicate_edge_and_double_parent():
          (DuplicateEdge, "edge (0, 1) appears twice")),
         ([(2, 2), (0, 1), (0, 1)], {0: 0, 1: 0, 2: 0}, None,
          (CycleDetected, "self-loop on vertex 2")),
+        # a second parent names the first in-edge as it was spelled
+        ([(0, 1), (2, 1.0)], {0: 0, 1: 0, 2: 0}, None,
+         (DuplicateEdge, "vertex 1.0 has two in-edges (0, 1) and (2, 1.0)")),
+        ([(0, 1.0), (2, 1)], {0: 0, 1: 0, 2: 0}, None,
+         (DuplicateEdge, "vertex 1 has two in-edges (0, 1.0) and (2, 1)")),
         # an isolated vertex comes before the root count, smallest id first
         ([(0, 1), (2, 3)], dict.fromkeys([0, 1, 2, 3, 9, 7], 0), None,
          (DisconnectedVertex, "vertex 7 has no incident edges")),
@@ -138,6 +148,8 @@ def test_build_duplicate_edge_and_double_parent():
     ids=[
         "duplicate-before-self-loop",
         "self-loop-before-duplicate",
+        "second-parent-int-then-float",
+        "second-parent-float-then-int",
         "isolated-before-multiple-roots",
         "multiple-roots-before-missing-color",
         "declared-root-before-unreachable",
