@@ -130,7 +130,7 @@ def cmd_poset(args) -> int:
     poset = corpus_mod.subtree_poset(classes)
     for (a, b), witness in sorted(poset.below.items()):
         _emit({"below": a, "above": b, "witness": list(witness)})
-    # Every pair is decided; the trailer stays part of the output format.
+    # The sweep leaves no pair undecided; the trailer stays part of the output format.
     _emit({"unknown_pairs": []})
     return EXIT_OK
 

@@ -4,8 +4,9 @@ The poset is the exact sub-arborescence order between class
 representatives (see :mod:`colored_prufer.matching`), stored transitively
 closed with a witness per relation pair: the representative's prune steps
 mapped to the larger representative's, composed along the chain for pairs
-skipped via transitivity.  Every pair is decided, so the poset is never
-incomplete.
+skipped via transitivity.  It comes from one bottom-up sweep over the
+representatives' shared subtree table, which finds every contained pair,
+and an ordered replay of the related pairs, so it is never incomplete.
 """
 
 from __future__ import annotations
@@ -100,11 +101,10 @@ class _Closure:
 def subtree_poset(classes: Sequence[IsoClass]) -> CorpusPoset:
     """Compute the full below-relation between class representatives.
 
-    Pairs are scheduled by ascending vertex-count gap so that both legs
-    of any transitive chain are committed before the pair they imply;
-    implied pairs are skipped and receive composed witnesses.  Every
-    pair is decided on one subtree table, so each pair of distinct rooted
-    subtrees is decided once for the whole corpus.
+    One bottom-up sweep over the representatives' shared subtree table
+    finds every contained pair.  The related pairs are then replayed by
+    ascending vertex-count gap, so both legs of a transitive chain are
+    committed before the pair they imply, which gets a composed witness.
     """
     poset = CorpusPoset(classes=list(classes))
     closure = _Closure(cls.class_id for cls in classes)
@@ -113,19 +113,19 @@ def subtree_poset(classes: Sequence[IsoClass]) -> CorpusPoset:
         below[(cls.class_id, cls.class_id)] = tuple(range(cls.representative.n))
 
     table = SubtreeTable()
-    rooted = {cls.class_id: table.intern_code(cls.representative) for cls in classes}
-    candidates = sorted(
-        (b_cls.representative.n - a_cls.representative.n, a_cls.class_id, b_cls.class_id)
-        for a_cls in classes
-        for b_cls in classes
-        if a_cls.representative.n < b_cls.representative.n
-    )
-    for _, a, b in candidates:
+    rooted = [table.intern_code(cls.representative) for cls in classes]
+    related = []
+    for j, bits in enumerate(table.sweep([r.ids[-1] for r in rooted])):
+        while bits:
+            i = (bits & -bits).bit_length() - 1
+            bits &= bits - 1
+            gap = classes[j].representative.n - classes[i].representative.n
+            if gap > 0:
+                related.append((gap, classes[i].class_id, classes[j].class_id, i, j))
+    for _, a, b, i, j in sorted(related):
         if closure.has(a, b):
             continue
-        witness = table.search(rooted[a], rooted[b])[0]
-        if witness is None:
-            continue
+        witness = table.witness(rooted[i], rooted[j])
         for x, y in closure.add(a, b):
             w = witness
             if x != a:

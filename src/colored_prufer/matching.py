@@ -10,9 +10,10 @@ prune step a hash-consed id for its rooted subtree, ``(color, sorted child
 ids)``.  A memo over pairs of ids then answers whether one subtree embeds
 in another with root on root: colors, sizes and out-degrees must allow
 it, and the children must match injectively (bipartite matching by
-augmenting paths, after every child pair is decided).  The witness names,
-per prune step of the smaller code, the prune step of the larger code
-that takes it.  This is the unordered subtree question of Shamir & Tsur
+augmenting paths, after every child pair of one color is decided; a
+corpus sweeps all pairs at once, bottom up).  The witness names, per
+prune step of the smaller code, the prune step of the larger code that
+takes it.  This is the unordered subtree question of Shamir & Tsur
 (J. Algorithms 1999) for colored rooted trees.
 
 Adjacency inside a code: the parent of the vertex pruned at step ``a``
@@ -209,13 +210,23 @@ class SubtreeTable:
 
     def _edges(self, qs: Sequence[int], hs: Sequence[int]) -> list[list[int]]:
         """Bipartite graph of pairs known to map: the positions in hs each
-        q in qs maps onto."""
-        yes = self._yes
+        q in qs maps onto.  Each row scans only the hosts of q's color."""
+        color, yes = self.color, self._yes
+        slots: dict[int, list[int]] = {}
+        for j, h in enumerate(hs):
+            slots.setdefault(color[h], []).append(j)
         rows: dict[int, list[int]] = {}
         for q in qs:
             if q not in rows:
-                rows[q] = [j for j, h in enumerate(hs) if yes[q] >> h & 1]
+                rows[q] = [j for j in slots.get(color[q], ()) if yes[q] >> hs[j] & 1]
         return [rows[q] for q in qs]
+
+    def _kids_map(self, qs: Sequence[int], hs: Sequence[int]) -> bool:
+        """Whether children qs take distinct children hs, by known pairs."""
+        if len(qs) <= 1:
+            return not qs or any(self._yes[qs[0]] >> h & 1 for h in hs)
+        rows = self._edges(qs, hs)
+        return all(rows) and _cover_left(rows, len(hs)) is not None
 
     def can_map(self, q: int, h: int) -> bool:
         """Whether subtree ``q`` embeds in subtree ``h`` with root on root.
@@ -256,12 +267,14 @@ class SubtreeTable:
                     memo[x] |= 1 << y
                 stack.pop()
                 continue
+            hosts: dict[int, list[int]] = {}
+            for y in set(kb):
+                hosts.setdefault(color[y], []).append(y)
             pending = [
                 (x, y)
                 for x in set(ka)
-                for y in set(kb)
-                if color[x] == color[y]
-                and size[x] <= size[y]
+                for y in hosts.get(color[x], ())
+                if size[x] <= size[y]
                 and degree[x] <= degree[y]
                 and not (yes[x] | no[x]) >> y & 1
             ]
@@ -269,22 +282,58 @@ class SubtreeTable:
                 stack.extend(pending)
                 continue
             stack.pop()
-            if not ka:
-                found = True
-            elif len(ka) == 1:
-                found = any(yes[ka[0]] >> y & 1 for y in kb)
-            else:
-                found = _cover_left(self._edges(ka, kb), len(kb)) is not None
-            if found:
+            if self._kids_map(ka, kb):
                 yes[a] |= 1 << b
             else:
                 no[a] |= 1 << b
         return bool(yes[q] >> h & 1)
 
-    def witness(self, query: Rooted, host: Rooted, host_step: int) -> tuple[int, ...]:
-        """Host step per query step, the query's root on ``host_step``.
+    def sweep(self, roots: Sequence[int]) -> list[int]:
+        """Decide, bottom up, every pair of ids that embeds root on root.
 
-        The query's root id must map onto the id at ``host_step``.
+        Candidates for id h are the ids of h's color that are leaves or
+        whose children all map onto children of h (FREQT-style occurrence
+        counting, Asai et al., SDM 2002).  Those that pass the filters and
+        the child matching of :meth:`can_map` are kept in the memo, so it
+        then holds every pair that maps.  Returns, per root, the bitset of
+        the positions ``k`` of the roots that embed anywhere in it.
+        """
+        kids, yes, fits = self.kids, self._yes, self._fits
+        marks: dict[int, int] = {}
+        for k, r in enumerate(roots):
+            marks[r] = marks.get(r, 0) | 1 << k
+        # each id with children is listed once, under its largest child
+        parents: dict[tuple[int, int], list[int]] = {}
+        for p, kid_ids in enumerate(kids):
+            if kid_ids:
+                parents.setdefault((kid_ids[-1], self.color[p]), []).append(p)
+        onto: list[list[int]] = []
+        inside: list[int] = []
+        for h, color in enumerate(self.color):
+            below = set(kids[h])
+            bits = 0
+            for y in below:
+                bits |= inside[y]
+            mapped = set().union(*map(onto.__getitem__, below))
+            found = [p for x in mapped for p in parents.get((x, color), ())]
+            found = [p for p in found if mapped.issuperset(kids[p])]
+            leaf = self._ids.get((color, ()))
+            if leaf is not None:
+                found.append(leaf)
+            mine = []
+            for q in found:
+                if fits(q, h) and self._kids_map(kids[q], kids[h]):
+                    yes[q] |= 1 << h
+                    mine.append(q)
+                    bits |= marks.get(q, 0)
+            onto.append(mine)
+            inside.append(bits)
+        return [inside[r] for r in roots]
+
+    def witness(self, query: Rooted, host: Rooted) -> tuple[int, ...]:
+        """Host step per query step, the query's root on the first host
+        step, in ``firsts`` order, whose id it is known to map onto.
+
         Children take the first host child they map onto where that
         leaves a matching for the rest.
         """
@@ -292,7 +341,8 @@ class SubtreeTable:
         h_ids, h_kids = host.ids, host.kids
         yes = self._yes
         image = [0] * len(q_ids)
-        stack = [(len(q_ids) - 1, host_step)]
+        onto = yes[q_ids[-1]]
+        stack = [(len(q_ids) - 1, next(b for h, b in host.firsts.items() if onto >> h & 1))]
         while stack:
             a, b = stack.pop()
             image[a] = b
@@ -317,12 +367,12 @@ class SubtreeTable:
         c, s, d = color[root], size[root], degree[root]
         yes, no = self._yes[root], self._no[root]
         tried = 0
-        for sid, step in host.firsts.items():
+        for sid in host.firsts:
             if color[sid] != c or size[sid] < s or degree[sid] < d:
                 continue
             tried += 1
             if yes >> sid & 1 or (not no >> sid & 1 and self.can_map(root, sid)):
-                return self.witness(query, host, step), tried
+                return self.witness(query, host), tried
         return None, tried
 
 
@@ -350,8 +400,10 @@ def subtree_search(
     """
     if pq.n > p.n:
         return SubtreeResult(None, 0)
-    # color-count dominance, linear in the number of vertices
-    if not Counter(pq.colors) <= Counter(p.colors):
+    # color-count dominance, linear: one count of the host's colors, read
+    # once per color of the query
+    have = Counter(p.colors)
+    if any(have[c] < k for c, k in Counter(pq.colors).items()):
         return SubtreeResult(None, 0)
     table = SubtreeTable()
     witness, tried = table.search(table.intern_code(pq), table.intern_code(p))

@@ -128,6 +128,31 @@ def test_ingest_outputs_match_golden_digests(cli):
     assert digests == INGEST_DIGESTS
 
 
+# sha256 of ``poset`` and ``most-common --max-order 6`` on two ``gen`` corpora;
+# relation pairs, their order and every witness are pinned byte for byte.
+POSET_DIGESTS = {
+    ("12 500 2 0", "poset"):
+        "25c2b03d94ccd3bacd2d7249d9387ab0829d87b78cd5ca5f711c195a279328c2",
+    ("12 500 2 0", "most-common"):
+        "4df9342722c56a41129e2171954f88a58c319cc6ecbf34475a71b6aae44fd377",
+    ("30 300 4 7", "poset"):
+        "15df199530a590600a6e87e0fac419708d7bcea2cb8071e7081b81f5fbd4c1ab",
+    ("30 300 4 7", "most-common"):
+        "34285478ea89323b602a772891051f335df5e085372e0db4a06f92b4c7d550b2",
+}
+
+
+def test_poset_outputs_match_golden_digests(cli):
+    digests = {}
+    for spec in ("12 500 2 0", "30 300 4 7"):
+        m, n, c, seed = spec.split()
+        _, corpus, _ = cli(["gen", "--m", m, "--n", n, "--c", c, "--seed", seed])
+        for command in (["poset"], ["most-common", "--max-order", "6"]):
+            out = cli(command, corpus)[1]
+            digests[(spec, command[0])] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == POSET_DIGESTS
+
+
 def test_gen_deterministic(cli):
     _, first, _ = cli(["gen", "--m", "5", "--n", "10", "--c", "2", "--seed", "3"])
     _, second, _ = cli(["gen", "--m", "5", "--n", "10", "--c", "2", "--seed", "3"])

@@ -16,6 +16,7 @@ from colored_prufer import (
     partition_by_isomorphism,
     random_trees,
     subtree_poset,
+    subtree_search,
 )
 from colored_prufer.errors import NoEligibleClass
 
@@ -119,6 +120,69 @@ def test_poset_closure_is_transitive():
         for c, d in relation:
             if b == c:
                 assert (a, d) in relation
+
+
+def _searched_relation(classes):
+    """Reflexive pairs plus every pair where a search finds a witness."""
+    reps = {c.class_id: c.representative for c in classes}
+    return {
+        (a, b)
+        for a, b in itertools.product(reps, repeat=2)
+        if a == b or subtree_search(reps[a], reps[b]).witness is not None
+    }
+
+
+def _assert_witnesses_keep_colors(poset):
+    reps = {c.class_id: c.representative for c in poset.classes}
+    for (a, b), witness in poset.below.items():
+        assert len(set(witness)) == reps[a].n
+        assert [reps[b].colors[i] for i in witness] == list(reps[a].colors)
+
+
+def test_poset_sweep_is_sound_and_complete_on_three_colors():
+    classes = partition_by_isomorphism(random_trees(12, 160, 3, seed=57))
+    poset = subtree_poset(classes)
+    assert poset.relation() == _searched_relation(classes)
+    _assert_witnesses_keep_colors(poset)
+
+
+def test_poset_sweep_keeps_repeated_children_apart():
+    # colors: the query needs two disjoint copies of the path 1 -> 2; host
+    # A has one vertex of color 1 with two children of color 2 (the two
+    # paths share their top), host B has two separate copies
+    query = build_tree([(0, 1), (1, 2), (0, 3), (3, 4)], {0: 0, 1: 1, 2: 2, 3: 1, 4: 2})
+    host_a = build_tree(
+        [(0, 1), (1, 2), (1, 3), (0, 4), (0, 5)], {0: 0, 1: 1, 2: 2, 3: 2, 4: 3, 5: 3}
+    )
+    host_b = build_tree(
+        [(0, 1), (1, 2), (1, 3), (0, 4), (4, 5)], {0: 0, 1: 1, 2: 2, 3: 2, 4: 1, 5: 2}
+    )
+    twins = build_tree([(0, 1), (0, 2)], {0: 0, 1: 1, 2: 1})
+    one_twin = build_tree([(0, 1), (0, 2), (0, 3)], {0: 0, 1: 1, 2: 2, 3: 2})
+    classes = partition_by_isomorphism([query, host_a, host_b, twins, one_twin])
+    poset = subtree_poset(classes)
+    relation = poset.relation()
+    assert (0, 1) not in relation and (0, 2) in relation
+    assert (3, 4) not in relation and (3, 1) not in relation and (3, 2) in relation
+    assert relation == _searched_relation(classes)
+    _assert_witnesses_keep_colors(poset)
+
+
+def test_poset_sweep_on_unary_chains_and_below_the_root():
+    def path(colors):
+        return build_tree([(v, v + 1) for v in range(len(colors) - 1)], dict(enumerate(colors)))
+
+    # [1, 0] and [0, 0, 1] fit only below the host roots; the rest nest
+    trees = [path([0] * k) for k in range(1, 6)]
+    trees += [path([1, 0]), path([0, 1, 0]), path([0, 0, 1]), path([0, 0, 0, 1])]
+    trees.append(build_tree([(0, 1), (1, 2), (1, 3)], {0: 5, 1: 1, 2: 0, 3: 2}))
+    classes = partition_by_isomorphism(trees)
+    poset = subtree_poset(classes)
+    relation = poset.relation()
+    assert {(0, 4), (1, 4), (5, 6), (7, 8), (5, 9)} <= relation
+    assert (5, 0) not in relation and (7, 6) not in relation
+    assert relation == _searched_relation(classes)
+    _assert_witnesses_keep_colors(poset)
 
 
 def test_most_representative_two_paths():

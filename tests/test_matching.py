@@ -193,6 +193,20 @@ def test_subtree_color_count_prefilter_is_linear():
     assert time.perf_counter() - start < 0.05
 
 
+def test_distinct_color_star_keeps_verdict_and_witness():
+    # 2,000 leaves of distinct colors in a star with one leaf more: each
+    # query leaf meets only the host leaves of its color, so pairing the
+    # children is linear (all-pairs pairing took over a second)
+    k = 2000
+    query = _code(_star(range(1, k + 1)))
+    host = _code(_star([*range(1, k + 1), 1]))
+    start = time.perf_counter()
+    result = subtree_search(query, host)
+    assert time.perf_counter() - start < 0.5
+    assert result.witness == (0, *range(2, k + 2))
+    assert result.candidates_examined == 1
+
+
 def _witness_is_sound(query_code, host_tree, witness):
     """Materialize the matched edges and check the induced embedding."""
     host_code, trace = encode_canonical(host_tree)
