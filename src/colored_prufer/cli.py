@@ -137,9 +137,8 @@ def cmd_poset(args) -> int:
 
 def cmd_most_common(args) -> int:
     classes = corpus_mod.partition_by_isomorphism(list(_read_trees(args)))
-    poset = corpus_mod.subtree_poset(classes)
     try:
-        best, count = corpus_mod.most_representative(classes, poset, args.max_order)
+        best, count = corpus_mod.most_representative(classes, args.max_order)
     except NoEligibleClass as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY

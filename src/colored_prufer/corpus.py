@@ -6,7 +6,8 @@ closed with a witness per relation pair: the representative's prune steps
 mapped to the larger representative's, composed along the chain for pairs
 skipped via transitivity.  It comes from one bottom-up sweep over the
 representatives' shared subtree table, which finds every contained pair,
-and an ordered replay of the related pairs, so it is never incomplete.
+and an ordered replay of the related pairs, so it is never incomplete;
+the most common class is counted straight from the sweep, with no replay.
 """
 
 from __future__ import annotations
@@ -136,29 +137,28 @@ def subtree_poset(classes: Sequence[IsoClass]) -> CorpusPoset:
     return poset
 
 
-def most_representative(
-    classes: Sequence[IsoClass], poset: CorpusPoset, max_order: int
-) -> tuple[IsoClass, int]:
+def most_representative(classes: Sequence[IsoClass], max_order: int) -> tuple[IsoClass, int]:
     """Class with at most ``max_order`` vertices contained in most trees.
 
-    The count for class A sums the sizes of every class above A in the
-    poset, A itself included.  Ties favor the smaller class id.
+    The count for class A sums the sizes of every class whose
+    representative contains A's, A itself included, read straight from
+    one sweep over the representatives' shared subtree table.  Ties favor
+    the smaller class id.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    size_of = {cls.class_id: cls.size for cls in classes}
-    eligible = [cls for cls in classes if cls.representative.n <= max_order]
+    eligible = [i for i, cls in enumerate(classes) if cls.representative.n <= max_order]
     if not eligible:
         raise NoEligibleClass(
             f"no class representative has at most {max_order} vertices"
         )
 
-    counts: dict[int, int] = {cls.class_id: 0 for cls in classes}
-    for a, b in poset.below:
-        counts[a] += size_of[b]
-
-    best = eligible[0]
-    for cls in eligible[1:]:
-        if counts[cls.class_id] > counts[best.class_id]:
-            best = cls
-    return best, counts[best.class_id]
+    table = SubtreeTable()
+    roots = [table.intern_code(cls.representative).ids[-1] for cls in classes]
+    counts = [0] * len(classes)
+    for cls, bits in zip(classes, table.sweep(roots)):
+        while bits:
+            counts[(bits & -bits).bit_length() - 1] += cls.size
+            bits &= bits - 1
+    best = max(eligible, key=counts.__getitem__)  # the first of equal counts
+    return classes[best], counts[best]

@@ -147,9 +147,9 @@ class SubtreeTable:
     """Hash-consed rooted subtrees and a memo of which embed in which.
 
     Ids are dense and every child id is smaller than its parent's.  The
-    memo keeps, per query id, one bitset of the host ids it is known to
-    map onto and one of those it is known not to.  Trees interned into
-    one table share both the ids and the memo.
+    memo keeps, per host id, the set of query ids known to map onto it
+    and the set of those known not to.  Trees interned into one table
+    share both the ids and the memo.
     """
 
     def __init__(self) -> None:
@@ -158,8 +158,8 @@ class SubtreeTable:
         self.kids: list[tuple[int, ...]] = []
         self.size: list[int] = []
         self.degree: list[int] = []
-        self._yes: list[int] = []
-        self._no: list[int] = []
+        self._yes: list[set[int]] = []
+        self._no: list[set[int]] = []
 
     def intern(self, color: int, kid_ids: Sequence[int]) -> int:
         key = (color, tuple(sorted(kid_ids)))
@@ -174,8 +174,8 @@ class SubtreeTable:
         self.kids.append(kid_ids)
         self.size.append(1 + sum(map(self.size.__getitem__, kid_ids)))
         self.degree.append(len(kid_ids))
-        self._yes.append(0)
-        self._no.append(0)
+        self._yes.append(set())
+        self._no.append(set())
         return sid
 
     def intern_code(self, code: Vcpc) -> Rooted:
@@ -218,15 +218,8 @@ class SubtreeTable:
         rows: dict[int, list[int]] = {}
         for q in qs:
             if q not in rows:
-                rows[q] = [j for j in slots.get(color[q], ()) if yes[q] >> hs[j] & 1]
+                rows[q] = [j for j in slots.get(color[q], ()) if q in yes[hs[j]]]
         return [rows[q] for q in qs]
-
-    def _kids_map(self, qs: Sequence[int], hs: Sequence[int]) -> bool:
-        """Whether children qs take distinct children hs, by known pairs."""
-        if len(qs) <= 1:
-            return not qs or any(self._yes[qs[0]] >> h & 1 for h in hs)
-        rows = self._edges(qs, hs)
-        return all(rows) and _cover_left(rows, len(hs)) is not None
 
     def can_map(self, q: int, h: int) -> bool:
         """Whether subtree ``q`` embeds in subtree ``h`` with root on root.
@@ -242,7 +235,7 @@ class SubtreeTable:
         stack = [(q, h)]
         while stack:
             a, b = stack[-1]
-            if (yes[a] | no[a]) >> b & 1:
+            if a in yes[b] or a in no[b]:
                 stack.pop()
                 continue
             ka, kb = kids[a], kids[b]
@@ -254,17 +247,18 @@ class SubtreeTable:
                 x, y = ka[0], kb[0]
                 while (
                     fits(x, y)
-                    and not (yes[x] | no[x]) >> y & 1
+                    and x not in yes[y]
+                    and x not in no[y]
                     and degree[x] == 1 == degree[y]
                 ):
                     chain.append((x, y))
                     x, y = kids[x][0], kids[y][0]
-                if fits(x, y) and not (yes[x] | no[x]) >> y & 1:
+                if fits(x, y) and x not in yes[y] and x not in no[y]:
                     stack.append((x, y))
                     continue
-                memo = yes if fits(x, y) and yes[x] >> y & 1 else no
+                memo = yes if fits(x, y) and x in yes[y] else no
                 for x, y in chain:
-                    memo[x] |= 1 << y
+                    memo[y].add(x)
                 stack.pop()
                 continue
             hosts: dict[int, list[int]] = {}
@@ -276,27 +270,32 @@ class SubtreeTable:
                 for y in hosts.get(color[x], ())
                 if size[x] <= size[y]
                 and degree[x] <= degree[y]
-                and not (yes[x] | no[x]) >> y & 1
+                and x not in yes[y]
+                and x not in no[y]
             ]
             if pending:
                 stack.extend(pending)
                 continue
             stack.pop()
-            if self._kids_map(ka, kb):
-                yes[a] |= 1 << b
+            # every child pair is decided: match the children by known pairs
+            if len(ka) <= 1:
+                mapped = not ka or any(ka[0] in yes[y] for y in kb)
             else:
-                no[a] |= 1 << b
-        return bool(yes[q] >> h & 1)
+                rows = self._edges(ka, kb)
+                mapped = all(rows) and _cover_left(rows, len(kb)) is not None
+            (yes if mapped else no)[b].add(a)
+        return q in yes[h]
 
     def sweep(self, roots: Sequence[int]) -> list[int]:
         """Decide, bottom up, every pair of ids that embeds root on root.
 
-        Candidates for id h are the ids of h's color that are leaves or
-        whose children all map onto children of h (FREQT-style occurrence
-        counting, Asai et al., SDM 2002).  Those that pass the filters and
-        the child matching of :meth:`can_map` are kept in the memo, so it
-        then holds every pair that maps.  Returns, per root, the bitset of
-        the positions ``k`` of the roots that embed anywhere in it.
+        At id h, the memo sets of h's children give the positions of the
+        children each query id maps onto.  Candidates are the ids of h's
+        color that are leaves or whose children all appear there
+        (FREQT-style occurrence counting, Asai et al., SDM 2002), each
+        decided by one matching over those positions, so the memo then
+        holds exactly the pairs that map.  Returns, per root, the bitset
+        of the positions ``k`` of the roots that embed anywhere in it.
         """
         kids, yes, fits = self.kids, self._yes, self._fits
         marks: dict[int, int] = {}
@@ -307,26 +306,28 @@ class SubtreeTable:
         for p, kid_ids in enumerate(kids):
             if kid_ids:
                 parents.setdefault((kid_ids[-1], self.color[p]), []).append(p)
-        onto: list[list[int]] = []
         inside: list[int] = []
         for h, color in enumerate(self.color):
-            below = set(kids[h])
             bits = 0
-            for y in below:
+            rows: dict[int, list[int]] = {}
+            for j, y in enumerate(kids[h]):
                 bits |= inside[y]
-            mapped = set().union(*map(onto.__getitem__, below))
-            found = [p for x in mapped for p in parents.get((x, color), ())]
-            found = [p for p in found if mapped.issuperset(kids[p])]
+                for x in yes[y]:
+                    rows.setdefault(x, []).append(j)
+            mine = yes[h]
             leaf = self._ids.get((color, ()))
             if leaf is not None:
-                found.append(leaf)
-            mine = []
-            for q in found:
-                if fits(q, h) and self._kids_map(kids[q], kids[h]):
-                    yes[q] |= 1 << h
-                    mine.append(q)
-                    bits |= marks.get(q, 0)
-            onto.append(mine)
+                mine.add(leaf)
+            n = len(kids[h])
+            for x in rows:
+                for q in parents.get((x, color), ()):
+                    qk = kids[q]
+                    if not (all(map(rows.__contains__, qk)) and fits(q, h)):
+                        continue
+                    if len(qk) == 1 or _cover_left([rows[z] for z in qk], n) is not None:
+                        mine.add(q)
+            for q in mine:
+                bits |= marks.get(q, 0)
             inside.append(bits)
         return [inside[r] for r in roots]
 
@@ -341,8 +342,8 @@ class SubtreeTable:
         h_ids, h_kids = host.ids, host.kids
         yes = self._yes
         image = [0] * len(q_ids)
-        onto = yes[q_ids[-1]]
-        stack = [(len(q_ids) - 1, next(b for h, b in host.firsts.items() if onto >> h & 1))]
+        root = q_ids[-1]
+        stack = [(len(q_ids) - 1, next(b for h, b in host.firsts.items() if root in yes[h]))]
         while stack:
             a, b = stack.pop()
             image[a] = b
@@ -350,7 +351,7 @@ class SubtreeTable:
             if len(qa) == 1:
                 x = q_ids[qa[0]]
                 if len(hb) > 1:
-                    hb = [next(y for y in hb if yes[x] >> h_ids[y] & 1)]
+                    hb = [next(y for y in hb if x in yes[h_ids[y]])]
                 stack.append((qa[0], hb[0]))
             elif qa:
                 edges = self._edges([q_ids[x] for x in qa], [h_ids[y] for y in hb])
@@ -365,13 +366,12 @@ class SubtreeTable:
         root = query.ids[-1]
         color, size, degree = self.color, self.size, self.degree
         c, s, d = color[root], size[root], degree[root]
-        yes, no = self._yes[root], self._no[root]
         tried = 0
         for sid in host.firsts:
             if color[sid] != c or size[sid] < s or degree[sid] < d:
                 continue
             tried += 1
-            if yes >> sid & 1 or (not no >> sid & 1 and self.can_map(root, sid)):
+            if self.can_map(root, sid):
                 return self.witness(query, host), tried
         return None, tried
 

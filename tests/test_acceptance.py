@@ -197,8 +197,7 @@ def test_criterion_9_most_representative_matches_exhaustive_count():
     start = time.perf_counter()
     trees = random_trees(8, 50, 3, seed=9292)
     classes = partition_by_isomorphism(trees)
-    poset = subtree_poset(classes)
-    best, count = most_representative(classes, poset, max_order=20)
+    best, count = most_representative(classes, max_order=20)
 
     rep_tree = {c.class_id: decode(c.representative) for c in classes}
 

@@ -153,6 +153,23 @@ def test_poset_outputs_match_golden_digests(cli):
     assert digests == POSET_DIGESTS
 
 
+def test_most_common_never_builds_the_poset(cli, monkeypatch):
+    from colored_prufer import corpus
+    from colored_prufer.matching import SubtreeTable
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("most-common must count from the sweep alone")
+
+    monkeypatch.setattr(corpus, "subtree_poset", refuse)
+    monkeypatch.setattr(SubtreeTable, "witness", refuse)
+    for spec in ("12 500 2 0", "30 300 4 7"):
+        m, n, c, seed = spec.split()
+        _, text, _ = cli(["gen", "--m", m, "--n", n, "--c", c, "--seed", seed])
+        out = cli(["most-common", "--max-order", "6"], text)[1]
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == POSET_DIGESTS[(spec, "most-common")]
+
+
 def test_gen_deterministic(cli):
     _, first, _ = cli(["gen", "--m", "5", "--n", "10", "--c", "2", "--seed", "3"])
     _, second, _ = cli(["gen", "--m", "5", "--n", "10", "--c", "2", "--seed", "3"])

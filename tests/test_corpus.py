@@ -190,19 +190,17 @@ def test_most_representative_two_paths():
     p3 = build_tree([(0, 1), (1, 2)], {0: 7, 1: 7, 2: 7})
     p2 = build_tree([(0, 1)], {0: 7, 1: 7})
     classes = partition_by_isomorphism([p3, p2])
-    poset = subtree_poset(classes)
-    best, count = most_representative(classes, poset, max_order=5)
+    best, count = most_representative(classes, max_order=5)
     assert best.representative.n == 2
     assert count == 2
     # order bound 2 leaves the short path as the only eligible class
-    best2, count2 = most_representative(classes, poset, max_order=2)
+    best2, count2 = most_representative(classes, max_order=2)
     assert (best2.representative.n, count2) == (2, 2)
 
 
 def test_most_representative_single_class():
     classes = partition_by_isomorphism([vcpc_build_tree(), vcpc_build_tree()])
-    poset = subtree_poset(classes)
-    best, count = most_representative(classes, poset, max_order=20)
+    best, count = most_representative(classes, max_order=20)
     assert best.class_id == 0
     assert count == 2
 
@@ -211,7 +209,7 @@ def test_most_representative_counts_match_exhaustive():
     trees = random_trees(6, 60, 2, seed=56)
     classes = partition_by_isomorphism(trees)
     poset = subtree_poset(classes)
-    best, count = most_representative(classes, poset, max_order=6)
+    best, count = most_representative(classes, max_order=6)
     reps = {c.class_id: c.representative for c in classes}
     sizes = {c.class_id: c.size for c in classes}
 
@@ -232,8 +230,39 @@ def test_most_representative_counts_match_exhaustive():
             assert exhaustive(a) >= exhaustive(b)
 
 
+def test_most_representative_counts_larger_winners_like_the_oracle():
+    # no tree of order 1 or 2, so no single vertex or edge can win
+    trees = [t for t in random_trees(8, 160, 3, seed=58) if t.n >= 3]
+    classes = partition_by_isomorphism(trees)
+    counts = {
+        c.class_id: sum(has_embedding(decode(c.representative), t, ordered=False) for t in trees)
+        for c in classes
+    }
+    for max_order in range(3, 9):
+        best, count = most_representative(classes, max_order)
+        eligible = {k: v for k, v in counts.items() if classes[k].representative.n <= max_order}
+        top = max(eligible.values())
+        assert (best.class_id, count) == (min(k for k, v in eligible.items() if v == top), top)
+        assert best.representative.n >= 3
+
+
+def test_most_representative_tie_goes_to_smaller_class_id():
+    star = build_tree([(0, 1), (0, 2), (0, 3)], {0: 0, 1: 5, 2: 5, 3: 5})
+    path = build_tree([(0, 1), (1, 2)], {0: 1, 1: 2, 2: 3})
+    mono = build_tree([(0, 1), (1, 2)], {0: 4, 1: 4, 2: 4})
+    # both three-vertex paths hang below one root, so each is in two trees
+    both = build_tree(
+        [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6)],
+        {0: 7, 1: 1, 2: 2, 3: 3, 4: 4, 5: 4, 6: 4},
+    )
+    for first, second in ((path, mono), (mono, path)):
+        classes = partition_by_isomorphism([star, first, second, both])
+        for max_order in (3, 4, 7):
+            best, count = most_representative(classes, max_order)
+            assert (best.class_id, count) == (1, 2)
+
+
 def test_most_representative_no_eligible_class():
     classes = partition_by_isomorphism([vcpc_build_tree()])
-    poset = subtree_poset(classes)
     with pytest.raises(NoEligibleClass):
-        most_representative(classes, poset, max_order=4)
+        most_representative(classes, max_order=4)

@@ -21,7 +21,7 @@ from colored_prufer import (
     undirected_subtree,
 )
 from colored_prufer.errors import IndexOutOfRange, SentinelCompared
-from colored_prufer.matching import prune_children
+from colored_prufer.matching import SubtreeTable, prune_children
 from colored_prufer.oracle import random_trees
 
 from golden import (
@@ -408,3 +408,17 @@ def test_long_path_in_longer_path_with_witness():
     assert witness is not None and _witness_is_sound(_code(query), host, witness)
     assert is_subarborescence(_code(host), _code(query)) is None
     assert undirected_subtree(query, host)
+
+
+def test_sweep_memo_is_exact_and_linear_in_the_relation():
+    codes = [_code(t) for t in random_trees(12, 160, 3, seed=57)]
+    table, fresh = SubtreeTable(), SubtreeTable()
+    roots = [table.intern_code(code).ids[-1] for code in codes]
+    for code in codes:
+        fresh.intern_code(code)
+    assert fresh.kids == table.kids
+    table.sweep(roots)
+    ids = range(len(table.kids))
+    pairs = {(q, h) for h in ids for q in ids if fresh.can_map(q, h)}
+    assert {(q, h) for h in ids for q in table._yes[h]} == pairs
+    assert sum(map(len, table._yes)) == len(pairs)
