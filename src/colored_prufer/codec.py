@@ -6,12 +6,15 @@ two holds the color of the vertex pruned at each step.  Pruning always
 removes the eligible vertex (out-degree zero) of minimum canonical rank,
 so the numeric part of row one is the classical Prüfer sequence of the
 rank-labeled tree with one auxiliary vertex attached above the root.
+
+Encoding and decoding are linear scans with no heap (Caminiti, Finocchi
+& Petreschi, TCS 2007): a pointer walks the ranks upward, and a vertex
+freed below the pointer is the least eligible one, so it goes next.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -89,7 +92,8 @@ def encode(
 
     ``order`` must be a rank bijection on the tree's vertices; pass the
     tree's canonical order to obtain its canonical code.  A single vertex
-    encodes to ``([None], [root color])``.
+    encodes to ``([None], [root color])``.  Linear in n: one upward scan
+    over the ranks.
     """
     n = tree.n
     phi = order.phi
@@ -100,25 +104,30 @@ def encode(
             raise OrderMismatch("order.inverse disagrees with order.phi")
 
     parent = tree.parent_map()
-    out_deg = [len(tree.children[v]) for v in range(n)]
-    heap = [phi[v] for v in range(n) if out_deg[v] == 0 and v != tree.root]
-    heapq.heapify(heap)
-
+    left = [len(tree.children[v]) for v in order.inverse]  # unpruned children, by rank
     parents_row: list[int | None] = []
     colors_row: list[Color] = []
     pruned: list[VertexId] = []
     parent_of: list[VertexId] = []
+    # The root keeps a child until the last step, so it is never pruned.
+    scan = 0
+    v = None
     for _ in range(n - 1):
-        v = order.inverse[heapq.heappop(heap)]
+        if v is None:
+            while left[scan]:
+                scan += 1
+            v = order.inverse[scan]
+            scan += 1
         u = parent[v]
         assert u is not None
-        parents_row.append(phi[u])
+        r = phi[u]
+        parents_row.append(r)
         colors_row.append(tree.colors[v])
         pruned.append(v)
         parent_of.append(u)
-        out_deg[u] -= 1
-        if out_deg[u] == 0 and u != tree.root:
-            heapq.heappush(heap, phi[u])
+        left[r] -= 1
+        # A parent freed below the scan is now the least eligible rank.
+        v = u if left[r] == 0 and r < scan else None
 
     parents_row.append(None)
     colors_row.append(tree.colors[tree.root])
@@ -139,7 +148,8 @@ def decode(code: Vcpc, strict: bool = False) -> ColoredArborescence:
     ``0..n`` (label n standing in for the auxiliary vertex above the
     root); vertex ``v`` then takes the color recorded at the step where
     ``v`` was pruned.  ``strict`` re-encodes the result and rejects codes
-    that are well-formed but not the encoding of any tree.
+    that are well-formed but not the encoding of any tree.  The inverse
+    run is a linear scan (see :func:`prufer_to_edges`).
     """
     validate_code(code)
     n = code.n
@@ -218,28 +228,32 @@ def prufer_to_edges(
     Requires ``len(sequence) == n_labels - 2``.  Returns the attachment
     edges ``(sequence[i], leaf_i)`` in construction order, the consumed
     leaves ``leaf_i`` themselves, and the final edge joining the last two
-    unattached labels.
+    unattached labels (the second is always ``n_labels - 1``).  One
+    upward scan over a count per label; a label whose count drops to
+    zero below the scan is the least leaf, so it is consumed next.
     """
     if len(sequence) != n_labels - 2:
         raise InvalidCode(
             f"sequence of length {len(sequence)} needs exactly {len(sequence) + 2} labels"
         )
+    remaining = [0] * n_labels  # unconsumed occurrences per label
     for x in sequence:
-        if not isinstance(x, int) or not 0 <= x < n_labels:
+        if type(x) is not int or not 0 <= x < n_labels:
             raise InvalidCode(f"sequence entry {x!r} out of range")
-
-    remaining = Counter(sequence)
-    heap = [x for x in range(n_labels) if remaining[x] == 0]
-    heapq.heapify(heap)
+        remaining[x] += 1
+    scan = remaining.index(0)
+    leaf = scan
     edges: list[tuple[int, int]] = []
     order: list[int] = []
     for a in sequence:
-        leaf = heapq.heappop(heap)
         edges.append((a, leaf))
         order.append(leaf)
         remaining[a] -= 1
-        if remaining[a] == 0:
-            heapq.heappush(heap, a)
-    u = heapq.heappop(heap)
-    v = heapq.heappop(heap)
-    return edges, order, (u, v)
+        if remaining[a] == 0 and a < scan:
+            leaf = a
+        else:
+            scan += 1
+            while remaining[scan]:
+                scan += 1
+            leaf = scan
+    return edges, order, (leaf, n_labels - 1)

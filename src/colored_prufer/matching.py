@@ -38,6 +38,9 @@ from .trees import ColoredArborescence
 # undirected_subtree; kept so that callers passing a cap keep working.
 DEFAULT_CANDIDATE_CAP = 10**6
 
+# The memo row of every id until its first write; never written itself.
+_UNSET: frozenset[int] = frozenset()
+
 
 class Rooted(NamedTuple):
     """A code's prune-step tree interned into a :class:`SubtreeTable`.
@@ -86,11 +89,11 @@ def prune_children(parents: Sequence[int | None]) -> list[Sequence[int]]:
         if value is None:
             value = -1
         if stack and parents[stack[-1]] > value:
-            mine = []
-            while stack and parents[stack[-1]] > value:
-                mine.append(stack.pop())
-            mine.reverse()
-            kids.append(mine)
+            k = len(stack) - 1
+            while k and parents[stack[k - 1]] > value:
+                k -= 1
+            kids.append(stack[k:])
+            del stack[k:]
         else:
             kids.append(())
         stack.append(j)
@@ -148,8 +151,10 @@ class SubtreeTable:
 
     Ids are dense and every child id is smaller than its parent's.  The
     memo keeps, per host id, the set of query ids known to map onto it
-    and the set of those known not to.  Trees interned into one table
-    share both the ids and the memo.
+    and the set of those known not to; a row is the shared empty
+    ``_UNSET`` until its first write, so interning allocates no rows.
+    Every id maps onto itself, which needs no memo entry.  Trees
+    interned into one table share both the ids and the memo.
     """
 
     def __init__(self) -> None:
@@ -157,12 +162,11 @@ class SubtreeTable:
         self.color: list[int] = []
         self.kids: list[tuple[int, ...]] = []
         self.size: list[int] = []
-        self.degree: list[int] = []
         self._yes: list[set[int]] = []
         self._no: list[set[int]] = []
 
-    def intern(self, color: int, kid_ids: Sequence[int]) -> int:
-        key = (color, tuple(sorted(kid_ids)))
+    def _id(self, key: tuple[int, tuple[int, ...]]) -> int:
+        """Id of a key whose child ids are sorted, made if new."""
         sid = self._ids.get(key)
         return self._add(key) if sid is None else sid
 
@@ -173,9 +177,8 @@ class SubtreeTable:
         self.color.append(color)
         self.kids.append(kid_ids)
         self.size.append(1 + sum(map(self.size.__getitem__, kid_ids)))
-        self.degree.append(len(kid_ids))
-        self._yes.append(set())
-        self._no.append(set())
+        self._yes.append(_UNSET)
+        self._no.append(_UNSET)
         return sid
 
     def intern_code(self, code: Vcpc) -> Rooted:
@@ -200,25 +203,39 @@ class SubtreeTable:
                 firsts[sid] = step
         return Rooted(ids, kids, firsts)
 
+    def _known(self, q: int, h: int) -> bool | None:
+        """Whether q maps onto h root on root, or ``None`` if undecided.
+        Equal ids map at once."""
+        if q == h or q in self._yes[h]:
+            return True
+        return False if q in self._no[h] else None
+
+    def _record(self, q: int, h: int, mapped: bool) -> None:
+        memo = self._yes if mapped else self._no
+        if memo[h] is _UNSET:
+            memo[h] = {q}
+        else:
+            memo[h].add(q)
+
     def _fits(self, q: int, h: int) -> bool:
         """Whether color, size and out-degree let q map onto h."""
         return (
             self.color[q] == self.color[h]
             and self.size[q] <= self.size[h]
-            and self.degree[q] <= self.degree[h]
+            and len(self.kids[q]) <= len(self.kids[h])
         )
 
     def _edges(self, qs: Sequence[int], hs: Sequence[int]) -> list[list[int]]:
         """Bipartite graph of pairs known to map: the positions in hs each
         q in qs maps onto.  Each row scans only the hosts of q's color."""
-        color, yes = self.color, self._yes
+        color, known = self.color, self._known
         slots: dict[int, list[int]] = {}
         for j, h in enumerate(hs):
             slots.setdefault(color[h], []).append(j)
         rows: dict[int, list[int]] = {}
         for q in qs:
             if q not in rows:
-                rows[q] = [j for j in slots.get(color[q], ()) if q in yes[hs[j]]]
+                rows[q] = [j for j in slots.get(color[q], ()) if known(q, hs[j])]
         return [rows[q] for q in qs]
 
     def can_map(self, q: int, h: int) -> bool:
@@ -227,15 +244,15 @@ class SubtreeTable:
         Undecided child pairs are decided first, deepest first, on an
         explicit stack, so the depth of the trees does not matter.
         """
-        fits = self._fits
+        fits, known, record = self._fits, self._known, self._record
         if not fits(q, h):
             return False
-        kids, yes, no = self.kids, self._yes, self._no
-        color, size, degree = self.color, self.size, self.degree
+        kids = self.kids
+        color, size = self.color, self.size
         stack = [(q, h)]
         while stack:
             a, b = stack[-1]
-            if a in yes[b] or a in no[b]:
+            if known(a, b) is not None:
                 stack.pop()
                 continue
             ka, kb = kids[a], kids[b]
@@ -245,20 +262,15 @@ class SubtreeTable:
                 # decided, filtered out or not unary on both sides.
                 chain = [(a, b)]
                 x, y = ka[0], kb[0]
-                while (
-                    fits(x, y)
-                    and x not in yes[y]
-                    and x not in no[y]
-                    and degree[x] == 1 == degree[y]
-                ):
+                while fits(x, y) and known(x, y) is None and len(kids[x]) == 1 == len(kids[y]):
                     chain.append((x, y))
                     x, y = kids[x][0], kids[y][0]
-                if fits(x, y) and x not in yes[y] and x not in no[y]:
+                mapped = fits(x, y) and known(x, y)
+                if mapped is None:
                     stack.append((x, y))
                     continue
-                memo = yes if fits(x, y) and x in yes[y] else no
                 for x, y in chain:
-                    memo[y].add(x)
+                    record(x, y, mapped)
                 stack.pop()
                 continue
             hosts: dict[int, list[int]] = {}
@@ -268,10 +280,7 @@ class SubtreeTable:
                 (x, y)
                 for x in set(ka)
                 for y in hosts.get(color[x], ())
-                if size[x] <= size[y]
-                and degree[x] <= degree[y]
-                and x not in yes[y]
-                and x not in no[y]
+                if size[x] <= size[y] and len(kids[x]) <= len(kids[y]) and known(x, y) is None
             ]
             if pending:
                 stack.extend(pending)
@@ -279,12 +288,12 @@ class SubtreeTable:
             stack.pop()
             # every child pair is decided: match the children by known pairs
             if len(ka) <= 1:
-                mapped = not ka or any(ka[0] in yes[y] for y in kb)
+                mapped = not ka or any(known(ka[0], y) for y in kb)
             else:
                 rows = self._edges(ka, kb)
                 mapped = all(rows) and _cover_left(rows, len(kb)) is not None
-            (yes if mapped else no)[b].add(a)
-        return q in yes[h]
+            record(a, b, mapped)
+        return known(q, h) is True
 
     def sweep(self, roots: Sequence[int]) -> list[int]:
         """Decide, bottom up, every pair of ids that embeds root on root.
@@ -297,7 +306,7 @@ class SubtreeTable:
         holds exactly the pairs that map.  Returns, per root, the bitset
         of the positions ``k`` of the roots that embed anywhere in it.
         """
-        kids, yes, fits = self.kids, self._yes, self._fits
+        kids, yes, size = self.kids, self._yes, self.size
         marks: dict[int, int] = {}
         for k, r in enumerate(roots):
             marks[r] = marks.get(r, 0) | 1 << k
@@ -315,16 +324,23 @@ class SubtreeTable:
                 for x in yes[y]:
                     rows.setdefault(x, []).append(j)
             mine = yes[h]
+            if mine is _UNSET:
+                mine = yes[h] = set()
             leaf = self._ids.get((color, ()))
             if leaf is not None:
                 mine.add(leaf)
             n = len(kids[h])
+            # the index fixes the color, and a unary candidate whose child
+            # maps onto a child of h always fits
             for x in rows:
                 for q in parents.get((x, color), ()):
                     qk = kids[q]
-                    if not (all(map(rows.__contains__, qk)) and fits(q, h)):
-                        continue
-                    if len(qk) == 1 or _cover_left([rows[z] for z in qk], n) is not None:
+                    if len(qk) == 1 or (
+                        len(qk) <= n
+                        and size[q] <= size[h]
+                        and all(map(rows.__contains__, qk))
+                        and _cover_left([rows[z] for z in qk], n) is not None
+                    ):
                         mine.add(q)
             for q in mine:
                 bits |= marks.get(q, 0)
@@ -336,14 +352,16 @@ class SubtreeTable:
         step, in ``firsts`` order, whose id it is known to map onto.
 
         Children take the first host child they map onto where that
-        leaves a matching for the rest.
+        leaves a matching for the rest.  Under two steps of equal id
+        that is position by position, memo or not: in canonical codes
+        both list the same child ids in the same prune order.
         """
         q_ids, q_kids = query.ids, query.kids
         h_ids, h_kids = host.ids, host.kids
-        yes = self._yes
+        known = self._known
         image = [0] * len(q_ids)
         root = q_ids[-1]
-        stack = [(len(q_ids) - 1, next(b for h, b in host.firsts.items() if root in yes[h]))]
+        stack = [(len(q_ids) - 1, next(b for h, b in host.firsts.items() if known(root, h)))]
         while stack:
             a, b = stack.pop()
             image[a] = b
@@ -351,7 +369,7 @@ class SubtreeTable:
             if len(qa) == 1:
                 x = q_ids[qa[0]]
                 if len(hb) > 1:
-                    hb = [next(y for y in hb if x in yes[h_ids[y]])]
+                    hb = [next(y for y in hb if known(x, h_ids[y]))]
                 stack.append((qa[0], hb[0]))
             elif qa:
                 edges = self._edges([q_ids[x] for x in qa], [h_ids[y] for y in hb])
@@ -364,11 +382,11 @@ class SubtreeTable:
         number of distinct host subtrees tried as the query root's image
         (those that pass the color, size and out-degree filters)."""
         root = query.ids[-1]
-        color, size, degree = self.color, self.size, self.degree
-        c, s, d = color[root], size[root], degree[root]
+        color, size, kids = self.color, self.size, self.kids
+        c, s, d = color[root], size[root], len(kids[root])
         tried = 0
         for sid in host.firsts:
-            if color[sid] != c or size[sid] < s or degree[sid] < d:
+            if color[sid] != c or size[sid] < s or len(kids[sid]) < d:
                 continue
             tried += 1
             if self.can_map(root, sid):
@@ -426,19 +444,36 @@ def _side_ids(table: SubtreeTable, tree: ColoredArborescence) -> tuple[list[int]
 
     ``down[v]`` is v's side of the edge to its parent, rooted at v;
     ``up[v]`` is the parent's side, rooted at the parent (-1 at the root).
+    At each vertex the ids outside it are sorted once, and each distinct
+    child id gets one up-id: that list less one copy of the child's id.
     """
     order = tree.bfs_order()
     colors, children = tree.colors, tree.children
+    make = table._id
     down = [0] * tree.n
     for v in reversed(order):
-        down[v] = table.intern(colors[v], [down[c] for c in children[v]])
+        kids = children[v]
+        if len(kids) > 1:
+            down[v] = make((colors[v], tuple(sorted([down[c] for c in kids]))))
+        else:
+            down[v] = make((colors[v], (down[kids[0]],) if kids else ()))
     up = [-1] * tree.n
     for p in order:
-        outside = [down[c] for c in children[p]]
+        kids = children[p]
+        if len(kids) == 1:
+            up[kids[0]] = make((colors[p], (up[p],) if up[p] >= 0 else ()))
+            continue
+        outside = [down[c] for c in kids]
         if up[p] >= 0:
             outside.append(up[p])
-        for k, c in enumerate(children[p]):
-            up[c] = table.intern(colors[p], outside[:k] + outside[k + 1 :])
+        outside.sort()
+        made: dict[int, int] = {}
+        for c in kids:
+            d = down[c]
+            if d not in made:
+                k = outside.index(d)
+                made[d] = make((colors[p], tuple(outside[:k] + outside[k + 1 :])))
+            up[c] = made[d]
     return down, up
 
 
@@ -473,4 +508,5 @@ def undirected_subtree(
     color = t1.colors[f]
     hosts = {down[v] for v in range(t2.n) if v != t2.root and t2.colors[parent[v]] == color}
     hosts.update(up[v] for v in range(t2.n) if v != t2.root and t2.colors[v] == color)
-    return any(table.can_map(query, h) for h in hosts)
+    # the same side in both trees maps at once, without a call per host
+    return query in hosts or any(table.can_map(query, h) for h in hosts)

@@ -7,6 +7,7 @@ sequences themselves can disagree in order once the root becomes an
 undirected leaf mid-run, as on directed paths).
 """
 
+import heapq
 import random
 from collections import Counter
 
@@ -252,3 +253,68 @@ def test_prufer_to_edges_validates():
         prufer_to_edges([0, 1], 3)  # wrong length
     with pytest.raises(InvalidCode):
         prufer_to_edges([9], 3)  # out of range
+    with pytest.raises(InvalidCode):
+        prufer_to_edges([True, False], 4)  # booleans are not labels
+
+
+# --- heap references for the linear scans -------------------------------------
+
+
+def _heap_encode(tree, order):
+    """(parents row, pruned vertices) by popping the least eligible rank."""
+    parent = tree.parent_map()
+    left = [len(kids) for kids in tree.children]
+    heap = [order.phi[v] for v in range(tree.n) if not left[v] and v != tree.root]
+    heapq.heapify(heap)
+    parents, pruned = [], []
+    for _ in range(tree.n - 1):
+        v = order.inverse[heapq.heappop(heap)]
+        u = parent[v]
+        parents.append(order.phi[u])
+        pruned.append(v)
+        left[u] -= 1
+        if not left[u] and u != tree.root:
+            heapq.heappush(heap, order.phi[u])
+    return parents + [None], pruned + [tree.root]
+
+
+def _heap_prufer_to_edges(sequence, n_labels):
+    remaining = Counter(sequence)
+    heap = [x for x in range(n_labels) if not remaining[x]]
+    heapq.heapify(heap)
+    edges = []
+    for a in sequence:
+        edges.append((a, heapq.heappop(heap)))
+        remaining[a] -= 1
+        if not remaining[a]:
+            heapq.heappush(heap, a)
+    return edges, [leaf for _, leaf in edges], (heapq.heappop(heap), heapq.heappop(heap))
+
+
+def test_linear_encode_matches_heap_reference_under_random_orders():
+    rng = random.Random(31)
+    for t in random_trees(14, 150, 3, seed=32):
+        inverse = list(range(t.n))
+        rng.shuffle(inverse)  # a rank bijection, mostly not a preorder
+        phi = [0] * t.n
+        for rank, v in enumerate(inverse):
+            phi[v] = rank
+        order = CanonicalOrder(phi=tuple(phi), inverse=tuple(inverse))
+        code, trace = encode(t, order)
+        parents, pruned = _heap_encode(t, order)
+        assert list(code.parents) == parents
+        assert list(trace.pruned) == pruned
+        assert list(code.colors) == [t.colors[v] for v in pruned]
+
+
+def test_prufer_to_edges_matches_heap_reference():
+    rng = random.Random(33)
+    cases = [([], 2), ([0], 3), ([2], 3), ([1], 3), ([3, 3], 4), ([0, 3], 4)]
+    for _ in range(400):
+        n_labels = rng.randint(2, 12)
+        cases.append(([rng.randrange(n_labels) for _ in range(n_labels - 2)], n_labels))
+        # sequences that lean on the top label
+        top = [rng.choice((n_labels - 1, rng.randrange(n_labels))) for _ in range(n_labels - 2)]
+        cases.append((top, n_labels))
+    for sequence, n_labels in cases:
+        assert prufer_to_edges(sequence, n_labels) == _heap_prufer_to_edges(sequence, n_labels)

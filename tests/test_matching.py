@@ -1,6 +1,8 @@
 """Code-level predicates: isomorphism, adjacency, subtree matching."""
 
+import hashlib
 import itertools
+import json
 import time
 
 import pytest
@@ -150,9 +152,26 @@ def test_subtree_golden_verdicts():
 
 
 def test_subtree_reflexive_identity():
-    for t in random_trees(9, 25, 3, seed=33):
+    trees = random_trees(9, 25, 3, seed=33) + [_broom(5, 3), _path(300), _repeats(6, 2, 0)]
+    for t in trees:
         code = _code(t)
         assert is_subarborescence(code, code) == tuple(range(code.n))
+        assert subtree_search(code, code).witness == tuple(range(code.n))
+
+
+def test_witnesses_match_pinned_digest():
+    """Every witness over all ordered pairs of a seeded corpus, pinned."""
+    codes = [_code(t) for t in random_trees(14, 60, 2, seed=8)]
+    digest = hashlib.sha256()
+    found = 0
+    for query, host in itertools.product(codes, repeat=2):
+        witness = subtree_search(query, host).witness
+        found += witness is not None
+        digest.update(json.dumps(witness).encode() + b"\n")
+    assert found == 700
+    assert digest.hexdigest() == (
+        "977d22c215f56d9f769ce73f78f2c0c06a62b99c22085ad598039b4bb4cc8594"
+    )
 
 
 def test_subtree_single_vertex_queries():
@@ -362,6 +381,37 @@ def test_exact_decider_matches_unordered_oracle_where_ordered_misses():
                 assert _witness_is_sound(codes[i], trees[j], witness)
             ordered_misses += expected and not has_embedding(trees[i], trees[j], ordered=True)
     assert checked > 8000 and ordered_misses == 10
+
+
+def _repeats(copies, piece_seed, root_color):
+    """A root over ``copies`` equal copies of one small random subtree and
+    one other small subtree, so siblings repeat at the root and below."""
+    piece, other = random_trees(4, 2, 2, seed=piece_seed)
+    edges, colors = [], {0: root_color}
+    for part in [piece] * copies + [other]:
+        base = len(colors)
+        edges.append((0, base + part.root))
+        edges.extend((base + u, base + v) for u in range(part.n) for v in part.children[u])
+        colors.update({base + v: c for v, c in enumerate(part.colors)})
+    return build_tree(edges, colors)
+
+
+def test_undirected_matches_all_rootings_oracle_on_repeated_siblings():
+    hosts = [_repeats(k, seed, seed % 2) for k in (2, 3) for seed in range(6)]
+    hosts += [_star([0] * 9), _star([0] * 6 + [1] * 2)]
+    queries = random_trees(6, 40, 2, seed=37) + [_star([0] * k) for k in (3, 6, 9)]
+    queries += [_repeats(2, seed, 0) for seed in range(3)]
+    checked = positive = 0
+    for host in hosts:
+        rootings = [_reroot(host, r) for r in range(host.n)]
+        for query in queries:
+            if query.n > host.n:
+                continue
+            expected = any(has_embedding(query, rooted) for rooted in rootings)
+            assert undirected_subtree(query, host) == expected
+            checked += 1
+            positive += expected
+    assert checked > 400 and positive > 100
 
 
 def test_undirected_matches_all_rootings_oracle_at_order_nine():
