@@ -22,6 +22,7 @@ from .matching import subtree_search, undirected_subtree
 from .trees import (
     ColoredArborescence,
     iter_corpus,
+    json_line,
     load_color_table,
     tree_to_json,
     write_corpus,
@@ -39,7 +40,7 @@ def _open_in(path: str | None) -> IO[str]:
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, separators=(",", ":")))
+    sys.stdout.write(json_line(obj))
     sys.stdout.write("\n")
 
 
@@ -128,8 +129,10 @@ def cmd_iso_classes(args) -> int:
 def cmd_poset(args) -> int:
     classes = corpus_mod.partition_by_isomorphism(list(_read_trees(args)))
     poset = corpus_mod.subtree_poset(classes)
+    # Every field is an int, so the preformatted line is the JSON encoding.
+    write = sys.stdout.write
     for (a, b), witness in sorted(poset.below.items()):
-        _emit({"below": a, "above": b, "witness": list(witness)})
+        write('{"below":%d,"above":%d,"witness":[%s]}\n' % (a, b, ",".join(map(str, witness))))
     # The sweep leaves no pair undecided; the trailer stays part of the output format.
     _emit({"unknown_pairs": []})
     return EXIT_OK

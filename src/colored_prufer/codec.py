@@ -164,9 +164,8 @@ def decode(code: Vcpc, strict: bool = False) -> ColoredArborescence:
 
     colors = [0] * n
     children: list[list[int]] = [[] for _ in range(n)]
+    # the inverse never consumes its top label n, the auxiliary vertex
     for step, leaf in enumerate(attach_order):
-        if leaf >= n:
-            raise InvalidCode("inverse construction consumed the auxiliary vertex")
         colors[leaf] = code.colors[step]
         children[sequence[step]].append(leaf)
     colors[0] = code.colors[n - 1]

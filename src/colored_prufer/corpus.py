@@ -71,7 +71,7 @@ def partition_by_isomorphism(corpus: Sequence[ColoredArborescence]) -> list[IsoC
 
 def _compose(first: Sequence[int], second: Sequence[int]) -> tuple[int, ...]:
     """Chain witnesses: embed A in B then B in C gives A in C."""
-    return tuple(second[i] for i in first)
+    return tuple(map(second.__getitem__, first))
 
 
 class _Closure:

@@ -110,24 +110,28 @@ def _cover_left(adj: Sequence[Sequence[int]], n_right: int) -> list[int] | None:
     Returns the left owner of each right vertex (-1 when unused).  Each
     left vertex in turn first takes its first free right vertex; the rest
     then search augmenting paths (Kuhn) on an explicit stack.  Both go in
-    list order, so the result is deterministic.
+    list order, so the result is deterministic.  Plain loops advance the
+    row iterators: no generator is made per row.
     """
     owner = [-1] * n_right
     unmatched = []
     for i, row in enumerate(adj):
-        j = next((j for j in row if owner[j] < 0), -1)
-        if j < 0:
-            unmatched.append(i)
+        for j in row:
+            if owner[j] < 0:
+                owner[j] = i
+                break
         else:
-            owner[j] = i
+            unmatched.append(i)
     for start in unmatched:
         seen = [False] * n_right
         lefts = [start]
         todo = [iter(adj[start])]
         via: list[int] = []  # via[k]: the right vertex that led to lefts[k + 1]
         while True:
-            j = next((j for j in todo[-1] if not seen[j]), -1)
-            if j < 0:
+            for j in todo[-1]:
+                if not seen[j]:
+                    break
+            else:
                 lefts.pop()
                 todo.pop()
                 if not lefts:
@@ -310,11 +314,13 @@ class SubtreeTable:
         marks: dict[int, int] = {}
         for k, r in enumerate(roots):
             marks[r] = marks.get(r, 0) | 1 << k
-        # each id with children is listed once, under its largest child
-        parents: dict[tuple[int, int], list[int]] = {}
+        # per color, each id with children is listed once, under its
+        # largest child; a color has at most one leaf id
+        parents: dict[int, dict[int, list[int]]] = {c: {} for c in self.color}
         for p, kid_ids in enumerate(kids):
             if kid_ids:
-                parents.setdefault((kid_ids[-1], self.color[p]), []).append(p)
+                parents[self.color[p]].setdefault(kid_ids[-1], []).append(p)
+        leaves = {color: sid for (color, kid_ids), sid in self._ids.items() if not kid_ids}
         inside: list[int] = []
         for h, color in enumerate(self.color):
             bits = 0
@@ -326,14 +332,15 @@ class SubtreeTable:
             mine = yes[h]
             if mine is _UNSET:
                 mine = yes[h] = set()
-            leaf = self._ids.get((color, ()))
+            leaf = leaves.get(color)
             if leaf is not None:
                 mine.add(leaf)
             n = len(kids[h])
+            index = parents[color]
             # the index fixes the color, and a unary candidate whose child
             # maps onto a child of h always fits
             for x in rows:
-                for q in parents.get((x, color), ()):
+                for q in index.get(x, ()):
                     qk = kids[q]
                     if len(qk) == 1 or (
                         len(qk) <= n
@@ -347,9 +354,10 @@ class SubtreeTable:
             inside.append(bits)
         return [inside[r] for r in roots]
 
-    def witness(self, query: Rooted, host: Rooted) -> tuple[int, ...]:
+    def witness(self, query: Rooted, host: Rooted, at: int | None = None) -> tuple[int, ...]:
         """Host step per query step, the query's root on the first host
-        step, in ``firsts`` order, whose id it is known to map onto.
+        step, in ``firsts`` order, whose id it is known to map onto; a
+        caller that has found that host id passes it as ``at``.
 
         Children take the first host child they map onto where that
         leaves a matching for the rest.  Under two steps of equal id
@@ -360,21 +368,26 @@ class SubtreeTable:
         h_ids, h_kids = host.ids, host.kids
         known = self._known
         image = [0] * len(q_ids)
-        root = q_ids[-1]
-        stack = [(len(q_ids) - 1, next(b for h, b in host.firsts.items() if known(root, h)))]
+        if at is None:
+            root = q_ids[-1]
+            at = next(h for h in host.firsts if known(root, h))
+        stack = [(len(q_ids) - 1, host.firsts[at])]
         while stack:
             a, b = stack.pop()
             image[a] = b
             qa, hb = q_kids[a], h_kids[b]
             if len(qa) == 1:
-                x = q_ids[qa[0]]
+                x, y = q_ids[qa[0]], hb[0]
                 if len(hb) > 1:
-                    hb = [next(y for y in hb if known(x, h_ids[y]))]
-                stack.append((qa[0], hb[0]))
+                    for y in hb:
+                        if known(x, h_ids[y]):
+                            break
+                stack.append((qa[0], y))
             elif qa:
                 edges = self._edges([q_ids[x] for x in qa], [h_ids[y] for y in hb])
-                owner = _cover_left(edges, len(hb))
-                stack.extend((qa[left], hb[j]) for j, left in enumerate(owner) if left >= 0)
+                for y, left in zip(hb, _cover_left(edges, len(hb))):
+                    if left >= 0:
+                        stack.append((qa[left], y))
         return tuple(image)
 
     def search(self, query: Rooted, host: Rooted) -> tuple[tuple[int, ...] | None, int]:
@@ -390,7 +403,7 @@ class SubtreeTable:
                 continue
             tried += 1
             if self.can_map(root, sid):
-                return self.witness(query, host), tried
+                return self.witness(query, host, sid), tried
         return None, tried
 
 

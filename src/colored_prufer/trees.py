@@ -26,6 +26,10 @@ from .errors import (
 Color = int
 VertexId = int
 
+# Compact JSON text of one object, as ``json.dumps(obj, separators=(",", ":"))``
+# gives it, from one encoder built once rather than one per call.
+json_line = json.JSONEncoder(separators=(",", ":")).encode
+
 
 @dataclass(frozen=True)
 class ColoredArborescence:
@@ -192,7 +196,7 @@ def tree_to_json(tree: ColoredArborescence) -> dict:
 
 def write_corpus(trees: Iterable[ColoredArborescence], fp: IO[str]) -> None:
     for tree in trees:
-        fp.write(json.dumps(tree_to_json(tree), separators=(",", ":")))
+        fp.write(json_line(tree_to_json(tree)))
         fp.write("\n")
 
 

@@ -316,5 +316,9 @@ def test_prufer_to_edges_matches_heap_reference():
         # sequences that lean on the top label
         top = [rng.choice((n_labels - 1, rng.randrange(n_labels))) for _ in range(n_labels - 2)]
         cases.append((top, n_labels))
+    assert len(cases) == 806
     for sequence, n_labels in cases:
-        assert prufer_to_edges(sequence, n_labels) == _heap_prufer_to_edges(sequence, n_labels)
+        result = prufer_to_edges(sequence, n_labels)
+        assert result == _heap_prufer_to_edges(sequence, n_labels)
+        # the top label is never consumed, so decode needs no check for it
+        assert all(leaf < n_labels - 1 for leaf in result[1])

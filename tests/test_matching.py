@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import random
 import time
 
 import pytest
@@ -23,7 +24,7 @@ from colored_prufer import (
     undirected_subtree,
 )
 from colored_prufer.errors import IndexOutOfRange, SentinelCompared
-from colored_prufer.matching import SubtreeTable, prune_children
+from colored_prufer.matching import SubtreeTable, _cover_left, prune_children
 from colored_prufer.oracle import random_trees
 
 from golden import (
@@ -472,3 +473,66 @@ def test_sweep_memo_is_exact_and_linear_in_the_relation():
     pairs = {(q, h) for h in ids for q in ids if fresh.can_map(q, h)}
     assert {(q, h) for h in ids for q in table._yes[h]} == pairs
     assert sum(map(len, table._yes)) == len(pairs)
+
+
+def _generator_cover_left(adj, n_right):
+    """Reference for _cover_left's visiting order: the same greedy phase and
+    Kuhn search, each step a ``next`` over a filtering generator."""
+    owner = [-1] * n_right
+    unmatched = []
+    for i, row in enumerate(adj):
+        j = next((j for j in row if owner[j] < 0), -1)
+        if j < 0:
+            unmatched.append(i)
+        else:
+            owner[j] = i
+    for start in unmatched:
+        seen = [False] * n_right
+        lefts = [start]
+        todo = [iter(adj[start])]
+        via = []
+        while True:
+            j = next((j for j in todo[-1] if not seen[j]), -1)
+            if j < 0:
+                lefts.pop()
+                todo.pop()
+                if not lefts:
+                    return None
+                via.pop()
+                continue
+            seen[j] = True
+            if owner[j] < 0:
+                break
+            via.append(j)
+            lefts.append(owner[j])
+            todo.append(iter(adj[owner[j]]))
+        owner[j] = lefts[-1]
+        for right, left in zip(via, lefts):
+            owner[right] = left
+    return owner
+
+
+def test_cover_left_matches_brute_force_and_generator_reference():
+    rng = random.Random(61)
+    covered = 0
+    for _ in range(2000):
+        n_left, n_right = rng.randint(0, 6), rng.randint(0, 7)
+        # rows may be empty and may repeat a right vertex
+        adj = [
+            [rng.randrange(n_right) for _ in range(rng.randint(0, n_right + 2))] if n_right else []
+            for _ in range(n_left)
+        ]
+        rows = [set(row) for row in adj]
+        exists = any(
+            all(pick[i] in rows[i] for i in range(n_left))
+            for pick in itertools.permutations(range(n_right), n_left)
+        )
+        owner = _cover_left(adj, n_right)
+        assert (owner is not None) == exists
+        assert owner == _generator_cover_left(adj, n_right)
+        if owner is not None:
+            covered += 1
+            assert len(owner) == n_right
+            assert sorted(left for left in owner if left >= 0) == list(range(n_left))
+            assert all(j in rows[left] for j, left in enumerate(owner) if left >= 0)
+    assert 500 < covered < 1500
