@@ -11,7 +11,6 @@ from .canonical import (
     canonical_order,
     canonicalize,
     full_ld_array,
-    ld_array,
     reconstruct,
 )
 from .codec import (
@@ -81,7 +80,6 @@ __all__ = [
     "has_embedding",
     "is_subarborescence",
     "iter_corpus",
-    "ld_array",
     "leaves",
     "load_color_table",
     "most_representative",

@@ -141,23 +141,6 @@ def full_ld_array(tree: ColoredArborescence) -> LdArray:
     return ((tree.colors[tree.root],),) + tuple(map(child_colors.__getitem__, inverse))
 
 
-def ld_array(tree: ColoredArborescence) -> tuple[LdArray, dict[VertexId, LdArray]]:
-    """Descriptor of the whole tree plus the per-vertex cache.
-
-    Every subtree is a contiguous run of the preorder, so each cached
-    descriptor is a slice of the tree descriptor.
-    """
-    _, child_colors, inverse = _canonical_state(tree)
-    descriptor = tuple(map(child_colors.__getitem__, inverse))
-    phi = _ranks(inverse)
-    size = [1] * tree.n
-    for v in reversed(inverse):
-        for c in tree.children[v]:
-            size[v] += size[c]
-    cache = {v: descriptor[phi[v] : phi[v] + size[v]] for v in range(tree.n)}
-    return descriptor, cache
-
-
 def canonical_order(tree: ColoredArborescence) -> CanonicalOrder:
     """Depth-first ranks with children visited in sorted descriptor order."""
     _, _, inverse = _canonical_state(tree)

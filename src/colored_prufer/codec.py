@@ -46,9 +46,11 @@ class Vcpc:
         try:
             parents = tuple(obj["parents"])
             colors = tuple(obj["colors"])
-            n = int(obj["n"])
-        except (KeyError, TypeError, ValueError) as exc:
+            n = obj["n"]
+        except (KeyError, TypeError) as exc:
             raise InvalidCode(f"bad code object: {exc}") from exc
+        if type(n) is not int:
+            raise InvalidCode(f"bad code object: n must be an integer, got {n!r}")
         code = cls(parents=parents, colors=colors, n=n)
         validate_code(code)
         return code

@@ -366,11 +366,15 @@ class SubtreeTable:
         """
         q_ids, q_kids = query.ids, query.kids
         h_ids, h_kids = host.ids, host.kids
-        known = self._known
+        yes = self._yes
         image = [0] * len(q_ids)
         if at is None:
             root = q_ids[-1]
-            at = next(h for h in host.firsts if known(root, h))
+            for at in host.firsts:
+                if root == at or root in yes[at]:
+                    break
+            else:
+                raise ValueError("the query root maps onto no host subtree")
         stack = [(len(q_ids) - 1, host.firsts[at])]
         while stack:
             a, b = stack.pop()
@@ -380,7 +384,8 @@ class SubtreeTable:
                 x, y = q_ids[qa[0]], hb[0]
                 if len(hb) > 1:
                     for y in hb:
-                        if known(x, h_ids[y]):
+                        h = h_ids[y]
+                        if x == h or x in yes[h]:
                             break
                 stack.append((qa[0], y))
             elif qa:

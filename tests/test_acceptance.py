@@ -182,6 +182,9 @@ def test_criterion_8_benchmark_verdict_matrices(capsys):
     report = json.loads(out)
     assert report["partitions_equal"] is True
     assert report["posets_equal"] is True
+    # the oracle decides every pair of a smaller class below a larger one
+    assert report["oracle"]["pairs_checked"] == 209_023
+    assert "pairs_skipped" not in report["oracle"]
     assert report["vcpc"]["poset_s"] > 0 and report["oracle"]["poset_s"] > 0
     ratio = report["oracle"]["poset_s"] / report["vcpc"]["poset_s"]
     elapsed = time.perf_counter() - start

@@ -10,7 +10,6 @@ from colored_prufer import (
     canonical_order,
     canonicalize,
     full_ld_array,
-    ld_array,
     reconstruct,
 )
 from colored_prufer.errors import MalformedDescriptor
@@ -56,8 +55,12 @@ def _assert_matches_materialized(tree):
         kids = sorted(tree.children[v], key=lambda c: (tree.colors[c], cache[c]))
         stack.extend(reversed(kids))
     assert canonical_order(tree).inverse == tuple(inverse)
-    assert full_ld_array(tree) == ((tree.colors[tree.root],),) + cache[tree.root]
-    assert ld_array(tree) == (cache[tree.root], cache)
+    full = full_ld_array(tree)
+    assert full == ((tree.colors[tree.root],),) + cache[tree.root]
+    # every subtree's descriptor is a contiguous run of the tree's
+    phi = canonical_order(tree).phi
+    for v, descriptor in cache.items():
+        assert full[1 + phi[v] : 1 + phi[v] + len(descriptor)] == descriptor
 
 
 def _path(n):
@@ -119,27 +122,33 @@ def test_monochrome_star_keeps_stored_order_on_full_ties():
 
 
 def test_ld_array_golden_values():
-    root_ld, cache = ld_array(descriptor_tree())
-    assert root_ld == DESCRIPTOR_LD
-    assert cache[2] == ((1, 1), (), (0, 0, 2), (), (), ())
-    assert cache[1] == ((0, 1), (), ())
-    assert cache[6] == ((0, 0, 2), (), (), ())
+    t = descriptor_tree()
+    descriptor = full_ld_array(t)[1:]
+    assert descriptor == DESCRIPTOR_LD
+    phi = canonical_order(t).phi
+
+    def subtree(v, size):
+        return descriptor[phi[v] : phi[v] + size]
+
+    assert subtree(2, 6) == ((1, 1), (), (0, 0, 2), (), (), ())
+    assert subtree(1, 3) == ((0, 1), (), ())
+    assert subtree(6, 4) == ((0, 0, 2), (), (), ())
     for leaf in (3, 4, 5, 7, 8, 9):
-        assert cache[leaf] == ((),)
+        assert subtree(leaf, 1) == ((),)
 
 
 def test_ld_array_single_vertex_and_single_child():
     single = build_tree([], {0: 9})
-    assert ld_array(single)[0] == ((),)
+    assert full_ld_array(single)[1:] == ((),)
     chain = build_tree([(0, 1)], {0: 0, 1: 5})
-    assert ld_array(chain)[0] == ((5,), ())
+    assert full_ld_array(chain)[1:] == ((5,), ())
 
 
 def test_full_ld_array_golden_and_concatenation():
     t = descriptor_tree()
     full = full_ld_array(t)
     assert full == DESCRIPTOR_FULL
-    assert full == ((t.colors[t.root],),) + ld_array(t)[0]
+    assert full == ((t.colors[t.root],),) + _materialized(t)[t.root]
 
 
 def test_full_ld_array_single_vertex():
@@ -148,12 +157,13 @@ def test_full_ld_array_single_vertex():
 
 def test_inner_list_count_matches_subtree_sizes():
     for t in random_trees(10, 40, 4, seed=7):
-        _, cache = ld_array(t)
+        cache = _materialized(t)
         sizes = {}
         for v in reversed(t.bfs_order()):
             sizes[v] = 1 + sum(sizes[c] for c in t.children[v])
         for v in range(t.n):
             assert len(cache[v]) == sizes[v]
+        assert len(full_ld_array(t)) == 1 + t.n
 
 
 def test_full_descriptor_equality_is_isomorphism():
@@ -184,7 +194,7 @@ def test_canonical_order_is_dfs_with_sorted_siblings():
         order = canonical_order(t)
         assert order.phi[t.root] == 0
         assert sorted(order.phi) == list(range(t.n))
-        _, cache = ld_array(t)
+        cache = _materialized(t)
         sizes = {}
         for v in reversed(t.bfs_order()):
             sizes[v] = 1 + sum(sizes[c] for c in t.children[v])

@@ -3,12 +3,13 @@
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from colored_prufer import tree_to_json, write_corpus
+from colored_prufer import Vcpc, subtree_search, tree_to_json, write_corpus
 from colored_prufer.cli import main
 
 from golden import (
@@ -132,13 +133,20 @@ def test_ingest_outputs_match_golden_digests(cli):
 # relation pairs, their order and every witness are pinned byte for byte.
 POSET_DIGESTS = {
     ("12 500 2 0", "poset"):
-        "25c2b03d94ccd3bacd2d7249d9387ab0829d87b78cd5ca5f711c195a279328c2",
+        "19eb8ca5b97213581448d9095cff5a5e122d2e24472db4c0ef25266577590572",
     ("12 500 2 0", "most-common"):
         "4df9342722c56a41129e2171954f88a58c319cc6ecbf34475a71b6aae44fd377",
     ("30 300 4 7", "poset"):
-        "15df199530a590600a6e87e0fac419708d7bcea2cb8071e7081b81f5fbd4c1ab",
+        "8e978d5f331af5150ca3b3e717aada6ebcd4216ed61fd13323f7e966b2f5e9d6",
     ("30 300 4 7", "most-common"):
         "34285478ea89323b602a772891051f335df5e085372e0db4a06f92b4c7d550b2",
+}
+
+# sha256 of the poset output with every line cut at ',"witness"': the
+# relation and its order, which do not depend on how witnesses are found
+POSET_PAIR_DIGESTS = {
+    "12 500 2 0": "1eacb9b831c79b55ac9b39e23f7b12f54118e83b27f445ca436485f1ae55571e",
+    "30 300 4 7": "1505a469a6dac2b09b0dafe43c6d751d487e23bfbcd21b0c843fc46cbf97e625",
 }
 
 
@@ -151,6 +159,25 @@ def test_poset_outputs_match_golden_digests(cli):
             out = cli(command, corpus)[1]
             digests[(spec, command[0])] = hashlib.sha256(out.encode()).hexdigest()
     assert digests == POSET_DIGESTS
+
+
+@pytest.mark.parametrize("spec", sorted(POSET_PAIR_DIGESTS))
+def test_poset_pairs_keep_their_order_and_witnesses_match_subtree(cli, spec):
+    m, n, c, seed = spec.split()
+    _, corpus, _ = cli(["gen", "--m", m, "--n", n, "--c", c, "--seed", seed])
+    out = cli(["poset"], corpus)[1]
+    pairs = re.sub(r',"witness".*', "", out)
+    assert hashlib.sha256(pairs.encode()).hexdigest() == POSET_PAIR_DIGESTS[spec]
+    reps = [
+        Vcpc.from_json(json.loads(line)["code"])
+        for line in cli(["iso-classes"], corpus)[1].splitlines()
+    ]
+    for line in out.splitlines()[:-1]:
+        record = json.loads(line)
+        a, b = record["below"], record["above"]
+        if a != b:
+            # the witness `colored-prufer subtree` prints for the two representatives
+            assert tuple(record["witness"]) == subtree_search(reps[a], reps[b]).witness
 
 
 def test_most_common_never_builds_the_poset(cli, monkeypatch):
@@ -267,6 +294,7 @@ def test_bench_small_report(cli):
     assert report["posets_equal"] is True
     assert report["vcpc"]["relation_size"] == report["oracle"]["relation_size"]
     assert report["class_count"] >= 1
+    assert "pairs_skipped" not in report["oracle"]
 
 
 def test_bench_deterministic(cli):
@@ -294,6 +322,11 @@ def test_json_booleans_exit_2(cli, tmp_path):
     bad = json.dumps({"parents": [False, None], "colors": [0, 0], "n": 2})
     code, _, err = cli(["decode"], bad + "\n")
     assert code == 2 and "error" in err
+    good = json.dumps({"parents": [0, None], "colors": [1, 0], "n": 2})
+    for n in (True, 1.9, "1", 2.0):
+        line = json.dumps({"parents": [0, None], "colors": [1, 0], "n": n})
+        code, _, err = cli(["decode"], good + "\n" + line + "\n")
+        assert code == 2 and err.startswith("error: line 2: ")
     table = tmp_path / "colors.json"
     table.write_text('{"blue": true}')
     line = '{"edges": [], "colors": {"0": "blue"}}\n'

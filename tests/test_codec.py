@@ -178,6 +178,9 @@ def test_code_rejects_json_booleans_as_integers():
         Vcpc.from_json({"parents": [False, None], "colors": [1, 0], "n": 2})
     with pytest.raises(InvalidCode):
         Vcpc.from_json({"parents": [0, None], "colors": [True, 0], "n": 2})
+    for n in (True, 1.9, "1", 2.0):
+        with pytest.raises(InvalidCode, match="n must be an integer"):
+            Vcpc.from_json({"parents": [0, None], "colors": [1, 0], "n": n})
 
 
 def test_decode_strict_rejects_noncanonical_code():

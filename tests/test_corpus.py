@@ -97,8 +97,9 @@ def test_poset_matches_unordered_oracle():
         )
 
 
-def test_poset_witnesses_for_skipped_pairs_compose():
-    # chain of nested stars forces transitive skips with composed witnesses
+def test_poset_witnesses_along_a_chain_of_nested_stars():
+    # every star lies below every larger one, so each pair but the
+    # adjacent ones is also implied along the chain
     def star(k):
         return build_tree([(0, i) for i in range(1, k + 1)], {v: 0 for v in range(k + 1)})
 

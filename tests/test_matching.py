@@ -475,6 +475,16 @@ def test_sweep_memo_is_exact_and_linear_in_the_relation():
     assert sum(map(len, table._yes)) == len(pairs)
 
 
+def test_witness_refuses_a_pair_that_does_not_map():
+    table = SubtreeTable()
+    edge = table.intern_code(_code(build_tree([(0, 1)], {0: 1, 1: 1})))
+    vertex = table.intern_code(_code(build_tree([], {0: 1})))
+    table.sweep([edge.ids[-1], vertex.ids[-1]])
+    assert table.witness(vertex, edge) == (0,)  # the leaf, pruned first
+    with pytest.raises(ValueError, match="maps onto no host subtree"):
+        table.witness(edge, vertex)
+
+
 def _generator_cover_left(adj, n_right):
     """Reference for _cover_left's visiting order: the same greedy phase and
     Kuhn search, each step a ``next`` over a filtering generator."""
