@@ -48,8 +48,8 @@ class CanonicalOrder:
     inverse: tuple[VertexId, ...]
 
 
-def _canonical_state(tree: ColoredArborescence):
-    """Sorted children, their colors, and the canonical preorder.
+def sorted_siblings(tree: ColoredArborescence):
+    """Sorted children and their colors, by one bottom-up pass.
 
     ``sorted_children[v]`` lists the children of ``v`` in ascending
     (color, descriptor) order and ``child_colors[v]`` their colors.
@@ -113,7 +113,11 @@ def _canonical_state(tree: ColoredArborescence):
             kid_colors.append(arrays)
             kid_keys.append(key)
         ident[v] = found
+    return sorted_children, child_colors
 
+
+def _preorder(tree: ColoredArborescence, sorted_children) -> list[VertexId]:
+    """Vertices in canonical order: rank ``r`` at index ``r``."""
     inverse = []
     stack = [tree.root]
     while stack:
@@ -121,7 +125,7 @@ def _canonical_state(tree: ColoredArborescence):
         inverse.append(v)
         if sorted_children[v]:
             stack += sorted_children[v][::-1]
-    return sorted_children, child_colors, inverse
+    return inverse
 
 
 def _ranks(inverse: Sequence[VertexId]) -> list[int]:
@@ -137,13 +141,14 @@ def full_ld_array(tree: ColoredArborescence) -> LdArray:
     Unlike the plain descriptor this determines the colored tree up to
     isomorphism, because the root color is no longer omitted.
     """
-    _, child_colors, inverse = _canonical_state(tree)
+    sorted_children, child_colors = sorted_siblings(tree)
+    inverse = _preorder(tree, sorted_children)
     return ((tree.colors[tree.root],),) + tuple(map(child_colors.__getitem__, inverse))
 
 
 def canonical_order(tree: ColoredArborescence) -> CanonicalOrder:
     """Depth-first ranks with children visited in sorted descriptor order."""
-    _, _, inverse = _canonical_state(tree)
+    inverse = _preorder(tree, sorted_siblings(tree)[0])
     return CanonicalOrder(phi=tuple(_ranks(inverse)), inverse=tuple(inverse))
 
 
@@ -153,7 +158,8 @@ def canonicalize(tree: ColoredArborescence) -> ColoredArborescence:
     In the result, children tuples are ascending both by id and by
     canonical sibling order, and the root is vertex 0.
     """
-    sorted_children, _, inverse = _canonical_state(tree)
+    sorted_children, _ = sorted_siblings(tree)
+    inverse = _preorder(tree, sorted_children)
     phi = _ranks(inverse)
     children = tuple(tuple(phi[c] for c in sorted_children[v]) for v in inverse)
     colors = tuple(tree.colors[v] for v in inverse)

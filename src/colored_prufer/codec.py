@@ -7,9 +7,15 @@ removes the eligible vertex (out-degree zero) of minimum canonical rank,
 so the numeric part of row one is the classical Prüfer sequence of the
 rank-labeled tree with one auxiliary vertex attached above the root.
 
-Encoding and decoding are linear scans with no heap (Caminiti, Finocchi
-& Petreschi, TCS 2007): a pointer walks the ranks upward, and a vertex
-freed below the pointer is the least eligible one, so it goes next.
+Under the canonical order, pruning follows the postorder of the
+canonical depth-first traversal: the ranks are its preorder, so every
+vertex ranked below the next vertex in postorder is either its ancestor,
+not yet eligible, or in a subtree the postorder has finished, already
+pruned.  So :func:`encode_canonical` reads the code off that traversal.
+Under other orders, and when decoding, a linear scan needs no heap
+(Caminiti, Finocchi & Petreschi, TCS 2007): a pointer walks the labels
+upward, and a vertex freed below the pointer is the least eligible one,
+so it goes next.
 """
 
 from __future__ import annotations
@@ -18,7 +24,9 @@ import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
-from .canonical import CanonicalOrder, canonical_order
+# canonical_order is part of this module's namespace for perfbench's
+# tracer, which wraps codec.canonical_order
+from .canonical import CanonicalOrder, canonical_order, sorted_siblings  # noqa: F401
 from .errors import InvalidCode, OrderMismatch, TooSmall
 from .trees import Color, ColoredArborescence, VertexId
 
@@ -42,16 +50,16 @@ class Vcpc:
         return {"parents": list(self.parents), "colors": list(self.colors), "n": self.n}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "Vcpc":
-        try:
-            parents = tuple(obj["parents"])
-            colors = tuple(obj["colors"])
-            n = obj["n"]
-        except (KeyError, TypeError) as exc:
-            raise InvalidCode(f"bad code object: {exc}") from exc
+    def from_json(cls, obj: object) -> "Vcpc":
+        if not isinstance(obj, dict):
+            raise InvalidCode("bad code object: expected a JSON object")
+        for name in ("parents", "colors"):
+            if not isinstance(obj.get(name), list):
+                raise InvalidCode(f"bad code object: {name} must be an array")
+        n = obj.get("n")
         if type(n) is not int:
             raise InvalidCode(f"bad code object: n must be an integer, got {n!r}")
-        code = cls(parents=parents, colors=colors, n=n)
+        code = cls(parents=tuple(obj["parents"]), colors=tuple(obj["colors"]), n=n)
         validate_code(code)
         return code
 
@@ -139,8 +147,38 @@ def encode(
 
 
 def encode_canonical(tree: ColoredArborescence) -> tuple[Vcpc, PruneTrace]:
-    """Canonical code of a tree in one call."""
-    return encode(tree, canonical_order(tree))
+    """``encode(tree, canonical_order(tree))`` by one traversal that
+    ranks each vertex on the way down and prunes it on the way up."""
+    sorted_children = sorted_siblings(tree)[0]
+    rank = [0] * tree.n
+    pruned: list[VertexId] = []
+    parent_of: list[VertexId | None] = []
+    # ancestors[-1] is the parent of the vertex on top of the stack (None
+    # above the root); a -1 on the stack closes the innermost ancestor
+    ancestors: list[VertexId | None] = [None]
+    stack = [tree.root]
+    r = 0
+    while stack:
+        v = stack.pop()
+        if v < 0:
+            v = ancestors.pop()
+        else:
+            rank[v] = r
+            r += 1
+            if sorted_children[v]:
+                ancestors.append(v)
+                stack.append(-1)
+                stack += sorted_children[v][::-1]
+                continue
+        pruned.append(v)
+        parent_of.append(ancestors[-1])
+    parent_of.pop()  # the root's
+    code = Vcpc(
+        parents=(*map(rank.__getitem__, parent_of), None),
+        colors=tuple(map(tree.colors.__getitem__, pruned)),
+        n=tree.n,
+    )
+    return code, PruneTrace(pruned=tuple(pruned), parent_of=tuple(parent_of))
 
 
 def decode(code: Vcpc, strict: bool = False) -> ColoredArborescence:

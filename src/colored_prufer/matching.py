@@ -26,7 +26,7 @@ them drops below ``parents[a]``.
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -74,30 +74,6 @@ def code_adjacent(p: Vcpc, i: int, j: int) -> bool:
     if pj >= pi:
         return False
     return all(p.parents[k] >= pi for k in range(i + 1, j))
-
-
-def prune_children(parents: Sequence[int | None]) -> list[Sequence[int]]:
-    """Child steps of every prune step, ascending, from a parents row.
-
-    Each position's parent is pruned at its next smaller entry, with the
-    terminal sentinel acting as minus infinity.  Computed by one
-    left-to-right monotonic-stack scan; the last step is the root.
-    """
-    kids: list[Sequence[int]] = []
-    stack: list[int] = []
-    for j, value in enumerate(parents):
-        if value is None:
-            value = -1
-        if stack and parents[stack[-1]] > value:
-            k = len(stack) - 1
-            while k and parents[stack[k - 1]] > value:
-                k -= 1
-            kids.append(stack[k:])
-            del stack[k:]
-        else:
-            kids.append(())
-        stack.append(j)
-    return kids
 
 
 # --- exact decider ----------------------------------------------------------
@@ -186,25 +162,41 @@ class SubtreeTable:
         return sid
 
     def intern_code(self, code: Vcpc) -> Rooted:
-        """Intern a code's prune-step tree."""
-        kids = prune_children(code.parents)
+        """Intern a code's prune-step tree in one monotonic-stack scan:
+        a step's parent is pruned at its next smaller parents entry (the
+        sentinel counting as -1), so its children are the steps it pops."""
+        parents, colors = code.parents, code.colors
         known = self._ids
         ids: list[int] = []
+        kids: list[Sequence[int]] = []
         firsts: dict[int, int] = {}
-        for step, color in enumerate(code.colors):
-            mine = kids[step]
-            if not mine:
-                key = (color, ())
-            elif len(mine) == 1:
-                key = (color, (ids[mine[0]],))
+        stack: list[int] = []  # steps whose parent is not pruned yet
+        top = -1  # the parents entry of the step on top of the stack
+        for step, value in enumerate(parents):
+            if value is None:
+                value = -1
+            if top > value:
+                k = len(stack) - 1
+                while k and parents[stack[k - 1]] > value:
+                    k -= 1
+                mine = stack[k:]
+                del stack[k:]
+                if len(mine) == 1:
+                    key = (colors[step], (ids[mine[0]],))
+                else:
+                    key = (colors[step], tuple(sorted(map(ids.__getitem__, mine))))
             else:
-                key = (color, tuple(sorted(map(ids.__getitem__, mine))))
+                mine = ()
+                key = (colors[step], ())
             sid = known.get(key)
             if sid is None:
                 sid = self._add(key)
             ids.append(sid)
+            kids.append(mine)
             if sid not in firsts:
                 firsts[sid] = step
+            stack.append(step)
+            top = value
         return Rooted(ids, kids, firsts)
 
     def _known(self, q: int, h: int) -> bool | None:
@@ -436,11 +428,16 @@ def subtree_search(
     """
     if pq.n > p.n:
         return SubtreeResult(None, 0)
-    # color-count dominance, linear: one count of the host's colors, read
-    # once per color of the query
-    have = Counter(p.colors)
-    if any(have[c] < k for c, k in Counter(pq.colors).items()):
-        return SubtreeResult(None, 0)
+    # color-count dominance: sort both color rows, then count each run of
+    # the query's colors in the host's by bisection
+    want, have = sorted(pq.colors), sorted(p.colors)
+    i = 0
+    while i < len(want):
+        c = want[i]
+        j = bisect_right(want, c, i)
+        if bisect_right(have, c) - bisect_left(have, c) < j - i:
+            return SubtreeResult(None, 0)
+        i = j
     table = SubtreeTable()
     witness, tried = table.search(table.intern_code(pq), table.intern_code(p))
     return SubtreeResult(witness, tried)

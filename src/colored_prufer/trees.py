@@ -250,6 +250,14 @@ def _tree_from_json(obj: dict, line: int, color_table: Mapping[str, int] | None)
         if type(value) is not int or value < 0:
             raise ParseError(line, f"bad color {value!r} for vertex {key}")
         colors[vid] = value
+    if len(colors) != len(raw_colors):
+        # two keys, such as "1" and " 1" or "01", name one vertex
+        seen: dict[int, str] = {}
+        for key in raw_colors:
+            first = seen.setdefault(int(key), key)
+            if first != key:
+                message = f"vertex {int(key)} has two color keys {first!r} and {key!r}"
+                raise ParseError(line, message)
 
     root = obj.get("root")
     if root is not None and type(root) is not int:

@@ -95,6 +95,31 @@ def test_decode_bad_second_line_names_its_line(cli):
     assert err == "error: line 2: terminal sentinel missing from the parents row\n"
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("[0, null]", "expected a JSON object"),
+        ('{"parents": 5, "colors": [0], "n": 1}', "parents must be an array"),
+        ('{"parents": "ab", "colors": [0, 0], "n": 2}', "parents must be an array"),
+        ('{"parents": [null], "colors": "a", "n": 1}', "colors must be an array"),
+    ],
+    ids=["array", "number", "string", "colors-string"],
+)
+def test_decode_wrong_json_types_name_the_field_and_line(cli, line, message):
+    good = json.dumps({"parents": [0, None], "colors": [0, 1], "n": 2})
+    code, out, err = cli(["decode"], f"{good}\n{line}\n")
+    assert code == 2 and out.count("\n") == 1
+    assert err == f"error: line 2: bad code object: {message}\n"
+
+
+def test_encode_two_color_keys_for_one_vertex_exit_2(cli):
+    good = json.dumps({"edges": [[0, 1]], "colors": {"0": 1, "1": 2}})
+    bad = json.dumps({"edges": [[0, 1]], "colors": {"0": 1, "1": 2, " 1": 3}})
+    code, out, err = cli(["encode"], f"{good}\n{bad}\n")
+    assert code == 2
+    assert err == "error: line 2: vertex 1 has two color keys '1' and ' 1'\n"
+
+
 def test_decode_strict_non_canonical_second_line_names_its_line(cli):
     canonical = json.dumps({"parents": [0, 0, None], "colors": [1, 2, 0], "n": 3})
     swapped = json.dumps({"parents": [0, 0, None], "colors": [2, 1, 0], "n": 3})

@@ -116,6 +116,38 @@ def test_vcpc_invariants_on_random_trees():
             assert code.parents[i] == order.phi[trace.parent_of[i]]
 
 
+def _broom(legs, length, colors=1):
+    edges, color = [], {0: 0}
+    for leg in range(legs):
+        first = 1 + leg * length
+        edges.append((0, first))
+        edges.extend((v, v + 1) for v in range(first, first + length - 1))
+        color.update((v, (leg + v) % colors) for v in range(first, first + length))
+    return build_tree(edges, color)
+
+
+def _one_traversal_cases():
+    for m in range(1, 41):
+        for c in range(1, 5):
+            yield from random_trees(m, 6, c, seed=100 * m + c)
+    yield build_tree([(v, v + 1) for v in range(4999)], {v: 0 for v in range(5000)})
+    yield build_tree([(0, v) for v in range(1, 3001)], {v: v % 2 for v in range(3001)})
+    for legs, length, colors in ((6, 2, 1), (12, 3, 1), (40, 1, 1), (7, 5, 3)):
+        yield _broom(legs, length, colors)
+    # caterpillar: a spine of 300 with 0-3 legs per vertex
+    edges = [(v, v + 1) for v in range(299)]
+    edges += [(v, 300 + 3 * v + k) for v in range(300) for k in range(v % 4)]
+    vertices = {v for e in edges for v in e}
+    yield build_tree(edges, {v: v % 3 for v in vertices})
+
+
+def test_encode_canonical_is_encode_under_canonical_order():
+    # encode_canonical reads code and trace off one traversal; encode
+    # prunes under the supplied order
+    for t in _one_traversal_cases():
+        assert encode_canonical(t) == encode(t, canonical_order(t))
+
+
 def test_encode_invariant_under_relabeling():
     rng = random.Random(22)
     for t in random_trees(9, 40, 3, seed=23):

@@ -24,7 +24,7 @@ from colored_prufer import (
     undirected_subtree,
 )
 from colored_prufer.errors import IndexOutOfRange, SentinelCompared
-from colored_prufer.matching import SubtreeTable, _cover_left, prune_children
+from colored_prufer.matching import SubtreeTable, _cover_left
 from colored_prufer.oracle import random_trees
 
 from golden import (
@@ -103,7 +103,7 @@ def test_adjacency_interval_lies_in_parent_branches():
     for t in random_trees(10, 60, 3, seed=37):
         code, trace = encode_canonical(t)
         order = canonical_order(t)
-        kids = prune_children(code.parents)
+        kids = SubtreeTable().intern_code(code).kids
         for a, b in ((a, b) for b in range(t.n) for a in kids[b]):
             child, parent = trace.pruned[a], trace.pruned[b]
             blocks = sorted(
@@ -127,7 +127,7 @@ def test_code_adjacent_matches_prune_trace():
         for i in range(n - 1):
             for j in range(i + 1, n - 1):
                 assert code_adjacent(code, i, j) == ((j, i) in edges)
-        kids = prune_children(code.parents)
+        kids = SubtreeTable().intern_code(code).kids
         assert {(j, i) for j in range(n) for i in kids[j]} == edges
 
 
@@ -201,6 +201,35 @@ def test_subtree_color_count_prefilter_rejects(k):
     result = subtree_search(query, short)
     assert (result.witness, result.candidates_examined) == (None, 0)
     assert subtree_search(query, _code(_star([*range(1, k + 1), 1]))).witness
+
+
+def test_subtree_color_count_prefilter_counts_every_color():
+    # same size and out-degree as the host, so only the color counts can
+    # reject: a color the host lacks, and one copy of a color too many
+    host = _code(_star([1, 2, 3, 3]))
+    for leaves in ([1, 2, 3, 4], [1, 1, 2, 3]):
+        result = subtree_search(_code(_star(leaves)), host)
+        assert (result.witness, result.candidates_examined) == (None, 0)
+    assert subtree_search(_code(_star([3, 1, 3])), host).witness
+
+
+def test_subtree_color_prefilter_verdicts_match_oracle_on_many_colors():
+    # with 40 colors most pairs fail the prefilter; a subtree of each host
+    # is among the queries, so some pairs pass it
+    rng = random.Random(73)
+    queries = random_trees(5, 40, 40, seed=72)
+    passed = 0
+    for host in random_trees(14, 40, 40, seed=71):
+        keep = subtree_vertices(host, rng.randrange(host.n))
+        inside = build_tree(
+            [(u, v) for u in keep for v in host.children[u]],
+            {v: host.colors[v] for v in keep},
+        )
+        for query in [*queries, inside]:
+            result = subtree_search(_code(query), _code(host))
+            assert (result.witness is not None) == has_embedding(query, host)
+            passed += result.candidates_examined > 0
+    assert passed >= 40
 
 
 def test_subtree_color_count_prefilter_is_linear():

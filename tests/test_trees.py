@@ -250,6 +250,23 @@ def test_parse_corpus_missing_colors_is_parse_error():
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize(
+    "colors, keys",
+    [
+        ({"0": 1, "1": 2, " 1": 3}, "'1' and ' 1'"),
+        ({"0": 1, "01": 2, "1": 3}, "'01' and '1'"),
+    ],
+    ids=["space", "leading-zero"],
+)
+def test_parse_corpus_rejects_two_color_keys_for_one_vertex(colors, keys):
+    good = json.dumps({"edges": [[0, 1]], "colors": {"0": 1, "1": 2}})
+    bad = json.dumps({"edges": [[0, 1]], "colors": colors})
+    with pytest.raises(ParseError) as err:
+        parse_corpus(io.StringIO(f"{good}\n{bad}\n"))
+    assert err.value.line == 2
+    assert str(err.value) == f"line 2: vertex 1 has two color keys {keys}"
+
+
 def test_parse_corpus_validation_error_carries_line_and_cause():
     lines = [
         json.dumps({"edges": [[0, 1]], "colors": {"0": 1, "1": 2}}),
