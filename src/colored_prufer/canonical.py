@@ -13,7 +13,7 @@ same-colored siblings with different ids compare by walking one chain:
 their child-color arrays first, and when those are equal, the first pair
 of differing child ids.  This equals tuple order on the descriptors
 because a descriptor is a self-delimiting preorder code, never a proper
-prefix of another: two concatenations of descriptors differ first inside
+prefix of another: two concatenations of descriptors differ first within
 the first pair of parts that differ.
 
 The canonical order is the depth-first traversal that visits children in

@@ -8,7 +8,6 @@ success, 2 input error, 4 empty query result.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from typing import IO, Iterator
@@ -24,6 +23,7 @@ from .trees import (
     iter_corpus,
     json_line,
     load_color_table,
+    parse_json,
     tree_to_json,
     write_corpus,
 )
@@ -62,15 +62,8 @@ def _read_code_lines(args) -> Iterator[tuple[int, object]]:
     stream = _open_in(args.input)
     try:
         for line_no, raw in enumerate(stream, start=1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise InvalidCode(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-            except RecursionError:
-                raise InvalidCode(f"line {line_no}: JSON nested too deeply") from None
-            yield line_no, obj
+            if raw.strip():
+                yield line_no, parse_json(raw, line_no)
     finally:
         if stream is not sys.stdin:
             stream.close()
@@ -128,10 +121,9 @@ def cmd_iso_classes(args) -> int:
 
 def cmd_poset(args) -> int:
     classes = corpus_mod.partition_by_isomorphism(list(_read_trees(args)))
-    poset = corpus_mod.subtree_poset(classes)
     # Every field is an int, so the preformatted line is the JSON encoding.
     write = sys.stdout.write
-    for (a, b), witness in sorted(poset.below.items()):
+    for a, b, witness in corpus_mod.poset_pairs(classes):
         write('{"below":%d,"above":%d,"witness":[%s]}\n' % (a, b, ",".join(map(str, witness))))
     # The sweep leaves no pair undecided; the trailer stays part of the output format.
     _emit({"unknown_pairs": []})

@@ -12,11 +12,12 @@ The most common class is counted straight from the same sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from operator import attrgetter
+from typing import Iterator, Sequence
 
 from .codec import Vcpc, encode_canonical
 from .errors import NoEligibleClass
-from .matching import SubtreeTable
+from .matching import Rooted, SubtreeTable
 from .trees import ColoredArborescence
 
 
@@ -70,29 +71,43 @@ def partition_by_isomorphism(corpus: Sequence[ColoredArborescence]) -> list[IsoC
     ]
 
 
-def subtree_poset(classes: Sequence[IsoClass]) -> CorpusPoset:
-    """Compute the full below-relation between class representatives.
-
-    One bottom-up sweep over the representatives' shared subtree table
-    finds every contained pair and leaves the table's memo holding every
-    pair of subtrees that embed root on root; each pair's witness is then
-    read from that memo.
-    """
-    poset = CorpusPoset(classes=list(classes))
-    below = poset.below
-    for cls in classes:
-        below[(cls.class_id, cls.class_id)] = tuple(range(cls.representative.n))
-
+def _sweep(classes: Sequence[IsoClass]) -> tuple[SubtreeTable, list[Rooted], list[list[int]]]:
+    """Intern the representatives into one table and sweep it.  Returns the
+    table, each interned representative and, per class, the ascending
+    positions of the classes that contain it, itself included."""
     table = SubtreeTable()
     rooted = [table.intern_code(cls.representative) for cls in classes]
-    for j, bits in enumerate(table.sweep([r.ids[-1] for r in rooted])):
-        b = classes[j].class_id
-        while bits:
-            i = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            if i != j:
-                below[(classes[i].class_id, b)] = table.witness(rooted[i], rooted[j])
-    return poset
+    table.sweep()
+    # duplicate representatives share a root id, so each id keeps a list
+    at: dict[int, list[int]] = {}
+    for i, tree in enumerate(rooted):
+        at.setdefault(tree.ids[-1], []).append(i)
+    above: list[list[int]] = [[] for _ in classes]
+    for j, tree in enumerate(rooted):
+        for q in at.keys() & table.contained(tree):
+            for i in at[q]:
+                above[i].append(j)
+    return table, rooted, above
+
+
+def poset_pairs(classes: Sequence[IsoClass]) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """Every ``(below, above, witness)`` of the poset in ascending class-id
+    order, each witness read from the sweep's memo as it is yielded."""
+    classes = sorted(classes, key=attrgetter("class_id"))
+    table, rooted, above = _sweep(classes)
+    for i, (cls, query, containers) in enumerate(zip(classes, rooted, above)):
+        a = cls.class_id
+        for j in containers:
+            if j == i:
+                yield a, a, tuple(range(cls.representative.n))
+            else:
+                yield a, classes[j].class_id, table.witness(query, rooted[j])
+
+
+def subtree_poset(classes: Sequence[IsoClass]) -> CorpusPoset:
+    """Compute the full below-relation between class representatives,
+    with a witness per pair (see :func:`poset_pairs`)."""
+    return CorpusPoset(list(classes), {(a, b): w for a, b, w in poset_pairs(classes)})
 
 
 def most_representative(classes: Sequence[IsoClass], max_order: int) -> tuple[IsoClass, int]:
@@ -110,13 +125,8 @@ def most_representative(classes: Sequence[IsoClass], max_order: int) -> tuple[Is
         raise NoEligibleClass(
             f"no class representative has at most {max_order} vertices"
         )
-
-    table = SubtreeTable()
-    roots = [table.intern_code(cls.representative).ids[-1] for cls in classes]
-    counts = [0] * len(classes)
-    for cls, bits in zip(classes, table.sweep(roots)):
-        while bits:
-            counts[(bits & -bits).bit_length() - 1] += cls.size
-            bits &= bits - 1
-    best = max(eligible, key=counts.__getitem__)  # the first of equal counts
+    _, _, above = _sweep(classes)
+    sizes = [cls.size for cls in classes]
+    counts = {i: sum(map(sizes.__getitem__, above[i])) for i in eligible}
+    best = min(eligible, key=lambda i: (-counts[i], classes[i].class_id))
     return classes[best], counts[best]

@@ -16,7 +16,7 @@ prune step of the smaller code, the prune step of the larger code that
 takes it.  This is the unordered subtree question of Shamir & Tsur
 (J. Algorithms 1999) for colored rooted trees.
 
-Adjacency inside a code: the parent of the vertex pruned at step ``a``
+Adjacency within a code: the parent of the vertex pruned at step ``a``
 is the vertex pruned at the first later step ``b`` whose own parent
 entry drops below ``parents[a]`` (the terminal sentinel counting as
 smaller than every label).  So step ``b`` is the parent of step ``a``
@@ -133,8 +133,9 @@ class SubtreeTable:
     memo keeps, per host id, the set of query ids known to map onto it
     and the set of those known not to; a row is the shared empty
     ``_UNSET`` until its first write, so interning allocates no rows.
-    Every id maps onto itself, which needs no memo entry.  Trees
-    interned into one table share both the ids and the memo.
+    Every id maps onto itself, which needs no memo entry (:meth:`sweep`
+    still writes one).  Trees interned into one table share both the ids
+    and the memo.
     """
 
     def __init__(self) -> None:
@@ -291,7 +292,7 @@ class SubtreeTable:
             record(a, b, mapped)
         return known(q, h) is True
 
-    def sweep(self, roots: Sequence[int]) -> list[int]:
+    def sweep(self) -> None:
         """Decide, bottom up, every pair of ids that embeds root on root.
 
         At id h, the memo sets of h's children give the positions of the
@@ -299,13 +300,9 @@ class SubtreeTable:
         color that are leaves or whose children all appear there
         (FREQT-style occurrence counting, Asai et al., SDM 2002), each
         decided by one matching over those positions, so the memo then
-        holds exactly the pairs that map.  Returns, per root, the bitset
-        of the positions ``k`` of the roots that embed anywhere in it.
+        holds exactly the pairs that map, every id in its own row.
         """
         kids, yes, size = self.kids, self._yes, self.size
-        marks: dict[int, int] = {}
-        for k, r in enumerate(roots):
-            marks[r] = marks.get(r, 0) | 1 << k
         # per color, each id with children is listed once, under its
         # largest child; a color has at most one leaf id
         parents: dict[int, dict[int, list[int]]] = {c: {} for c in self.color}
@@ -313,12 +310,9 @@ class SubtreeTable:
             if kid_ids:
                 parents[self.color[p]].setdefault(kid_ids[-1], []).append(p)
         leaves = {color: sid for (color, kid_ids), sid in self._ids.items() if not kid_ids}
-        inside: list[int] = []
         for h, color in enumerate(self.color):
-            bits = 0
             rows: dict[int, list[int]] = {}
             for j, y in enumerate(kids[h]):
-                bits |= inside[y]
                 for x in yes[y]:
                     rows.setdefault(x, []).append(j)
             mine = yes[h]
@@ -341,10 +335,11 @@ class SubtreeTable:
                         and _cover_left([rows[z] for z in qk], n) is not None
                     ):
                         mine.add(q)
-            for q in mine:
-                bits |= marks.get(q, 0)
-            inside.append(bits)
-        return [inside[r] for r in roots]
+
+    def contained(self, tree: Rooted) -> set[int]:
+        """Ids that embed anywhere in an interned tree, once :meth:`sweep`
+        has run: the union of the memo rows of its distinct subtree ids."""
+        return set().union(*map(self._yes.__getitem__, tree.firsts))
 
     def witness(self, query: Rooted, host: Rooted, at: int | None = None) -> tuple[int, ...]:
         """Host step per query step, the query's root on the first host

@@ -200,14 +200,21 @@ def write_corpus(trees: Iterable[ColoredArborescence], fp: IO[str]) -> None:
         fp.write("\n")
 
 
+def parse_json(text: str, line: int | None = None) -> object:
+    """Parse one JSON document; any failure is a :class:`ParseError` at
+    ``line`` (one line of a JSONL stream), else at the faulty line."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # also an integer literal over Python's digit limit
+        message = f"invalid JSON ({getattr(exc, 'msg', exc)})"
+        raise ParseError(line or getattr(exc, "lineno", 1), message) from exc
+    except RecursionError:
+        raise ParseError(line or 1, "JSON nested too deeply") from None
+
+
 def load_color_table(fp: IO[str]) -> dict[str, int]:
     """Read a JSON map of color name -> nonnegative integer."""
-    try:
-        table = json.load(fp)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.lineno, f"invalid JSON ({exc.msg})") from exc
-    except RecursionError:
-        raise ParseError(1, "JSON nested too deeply") from None
+    table = parse_json(fp.read())
     if not isinstance(table, dict) or any(
         not isinstance(k, str) or type(v) is not int or v < 0
         for k, v in table.items()
@@ -284,12 +291,7 @@ def iter_corpus(
             raw = raw.decode("utf-8")
         if not raw.strip():
             continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ParseError(line_no, f"invalid JSON ({exc.msg})") from exc
-        except RecursionError:
-            raise ParseError(line_no, "JSON nested too deeply") from None
+        obj = parse_json(raw, line_no)
         edges, colors, root, tree_id = _tree_from_json(obj, line_no, color_table)
         try:
             tree = build_tree(edges, colors, root=root, tree_id=tree_id or None)

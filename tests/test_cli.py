@@ -222,6 +222,20 @@ def test_most_common_never_builds_the_poset(cli, monkeypatch):
         assert digest == POSET_DIGESTS[(spec, "most-common")]
 
 
+def test_poset_streams_without_building_the_poset(cli, monkeypatch):
+    from colored_prufer import corpus
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("poset must write straight from the pair generator")
+
+    monkeypatch.setattr(corpus, "subtree_poset", refuse)
+    for spec in ("12 500 2 0", "30 300 4 7"):
+        m, n, c, seed = spec.split()
+        _, text, _ = cli(["gen", "--m", m, "--n", n, "--c", c, "--seed", seed])
+        out = cli(["poset"], text)[1]
+        assert hashlib.sha256(out.encode()).hexdigest() == POSET_DIGESTS[(spec, "poset")]
+
+
 def test_gen_deterministic(cli):
     _, first, _ = cli(["gen", "--m", "5", "--n", "10", "--c", "2", "--seed", "3"])
     _, second, _ = cli(["gen", "--m", "5", "--n", "10", "--c", "2", "--seed", "3"])
@@ -386,6 +400,30 @@ def test_deeply_nested_json_exit_2(cli, tmp_path, command, where):
     code, out, err = cli(args, stdin)
     assert code == 2 and out == ""
     assert err == "error: line 1: JSON nested too deeply\n"
+
+
+HUGE = "9" * 5000  # over Python's 4,300-digit limit for parsing an int
+
+
+@pytest.mark.parametrize(
+    "command, where",
+    [("encode", "input"), ("encode", "color-table"), ("decode", "input")],
+)
+def test_huge_integer_literal_exit_2(cli, tmp_path, command, where):
+    line = {
+        "encode": '{"edges": [], "colors": {"0": %s}}',
+        "decode": '{"parents": [null], "colors": [%s], "n": 1}',
+    }[command]
+    good, bad = line % 1, line % HUGE
+    if where == "color-table":
+        path = tmp_path / "colors.json"
+        path.write_text('{"blue": ' + HUGE + "}\n")
+        args, stdin, line_no = [command, "-", "--color-table", str(path)], good + "\n", 1
+    else:
+        args, stdin, line_no = [command], good + "\n" + bad + "\n", 2
+    code, _, err = cli(args, stdin)
+    assert code == 2
+    assert err.startswith(f"error: line {line_no}: invalid JSON (") and err.count("\n") == 1
 
 
 def test_poset_workers_accepted_and_ignored(cli):

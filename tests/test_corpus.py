@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +19,7 @@ from colored_prufer import (
     subtree_poset,
     subtree_search,
 )
+from colored_prufer.corpus import poset_pairs
 from colored_prufer.errors import NoEligibleClass
 
 from golden import automorphic_tree, subtree_host_1, vcpc_build_tree
@@ -95,6 +97,44 @@ def test_poset_matches_unordered_oracle():
         assert ((a, b) in poset.below) == has_embedding(
             rep_tree[a], rep_tree[b], ordered=False
         )
+
+
+def test_poset_pairs_stream_in_class_id_order():
+    classes = partition_by_isomorphism(random_trees(7, 150, 3, seed=52))
+    below = subtree_poset(classes).below
+    ids = list(range(len(classes)))
+    random.Random(1).shuffle(ids)
+    relabeled = [replace(cls, class_id=ids[cls.class_id]) for cls in classes]
+    random.Random(2).shuffle(relabeled)
+    pairs = list(poset_pairs(relabeled))
+    assert pairs == [(a, b, w) for (a, b), w in sorted(subtree_poset(relabeled).below.items())]
+    assert {(a, b): w for a, b, w in pairs} == {
+        (ids[a], ids[b]): w for (a, b), w in below.items()
+    }
+
+
+def test_duplicate_representatives_are_both_found():
+    classes = partition_by_isomorphism(random_trees(7, 150, 3, seed=52))
+    below = subtree_poset(classes).below
+    new = len(classes)
+    for k in (0, 1, 2, len(classes) - 1):
+        twin = replace(classes[k], class_id=new, size=5)
+        # every pair naming k holds for its twin as well, with k's witness
+        expected = {}
+        for (a, b), witness in below.items():
+            for a2 in (a, new) if a == k else (a,):
+                for b2 in (b, new) if b == k else (b,):
+                    expected[(a2, b2)] = witness
+        assert subtree_poset(classes + [twin]).below == expected
+        sizes = {cls.class_id: cls.size for cls in classes + [twin]}
+        for max_order in (1, 3, 7):
+            counts = {a: 0 for a in sizes if (classes + [twin])[a].representative.n <= max_order}
+            for a, b in expected:
+                if a in counts:
+                    counts[a] += sizes[b]
+            top = max(counts.values())
+            best, count = most_representative(classes + [twin], max_order)
+            assert (best.class_id, count) == (min(a for a, v in counts.items() if v == top), top)
 
 
 def test_poset_witnesses_along_a_chain_of_nested_stars():
@@ -261,6 +301,21 @@ def test_most_representative_tie_goes_to_smaller_class_id():
         for max_order in (3, 4, 7):
             best, count = most_representative(classes, max_order)
             assert (best.class_id, count) == (1, 2)
+
+
+def test_most_representative_tie_ignores_list_order():
+    classes = partition_by_isomorphism(
+        [build_tree([], {0: 1}), build_tree([], {0: 2})]
+    )
+    for order in (classes, classes[::-1]):
+        best, count = most_representative(order, max_order=1)
+        assert (best.class_id, count) == (0, 1)
+    classes = partition_by_isomorphism(random_trees(6, 200, 2, seed=59))
+    expected = [most_representative(classes, max_order) for max_order in range(1, 7)]
+    for seed in range(3):
+        shuffled = classes[:]
+        random.Random(seed).shuffle(shuffled)
+        assert [most_representative(shuffled, m) for m in range(1, 7)] == expected
 
 
 def test_most_representative_no_eligible_class():

@@ -493,22 +493,35 @@ def test_long_path_in_longer_path_with_witness():
 def test_sweep_memo_is_exact_and_linear_in_the_relation():
     codes = [_code(t) for t in random_trees(12, 160, 3, seed=57)]
     table, fresh = SubtreeTable(), SubtreeTable()
-    roots = [table.intern_code(code).ids[-1] for code in codes]
     for code in codes:
+        table.intern_code(code)
         fresh.intern_code(code)
     assert fresh.kids == table.kids
-    table.sweep(roots)
+    assert table.sweep() is None
     ids = range(len(table.kids))
     pairs = {(q, h) for h in ids for q in ids if fresh.can_map(q, h)}
     assert {(q, h) for h in ids for q in table._yes[h]} == pairs
     assert sum(map(len, table._yes)) == len(pairs)
 
 
+def test_contained_is_every_id_that_maps_anywhere_in_the_tree():
+    codes = [_code(t) for t in random_trees(12, 160, 3, seed=57)]
+    table, fresh = SubtreeTable(), SubtreeTable()
+    trees = [table.intern_code(code) for code in codes]
+    for code in codes:
+        fresh.intern_code(code)
+    table.sweep()
+    ids = range(len(table.kids))
+    for tree in trees:
+        brute = {q for q in ids if any(fresh.can_map(q, h) for h in tree.ids)}
+        assert table.contained(tree) == brute
+
+
 def test_witness_refuses_a_pair_that_does_not_map():
     table = SubtreeTable()
     edge = table.intern_code(_code(build_tree([(0, 1)], {0: 1, 1: 1})))
     vertex = table.intern_code(_code(build_tree([], {0: 1})))
-    table.sweep([edge.ids[-1], vertex.ids[-1]])
+    table.sweep()
     assert table.witness(vertex, edge) == (0,)  # the leaf, pruned first
     with pytest.raises(ValueError, match="maps onto no host subtree"):
         table.witness(edge, vertex)
