@@ -82,6 +82,7 @@ def sorted_siblings(tree: ColoredArborescence):
 
     sorted_children = list(tree.children)
     child_colors: list[tuple[Color, ...]] = [()] * tree.n
+    single: dict[Color, tuple[Color]] = {}  # one child-color array per color
     for v in reversed(tree.bfs_order()):
         kids = sorted_children[v]
         if not kids:
@@ -89,9 +90,12 @@ def sorted_siblings(tree: ColoredArborescence):
         # Most inner vertices have one or two children; only larger
         # families go through cmp_to_key.
         if len(kids) == 1:
-            c = kids[0]
-            arrays = child_colors[v] = (colors[c],)
-            key = (colors[c], ident[c])
+            color = colors[kids[0]]
+            arrays = single.get(color)
+            if arrays is None:
+                arrays = single[color] = (color,)
+            child_colors[v] = arrays
+            key = (color, ident[kids[0]])
         else:
             if len(kids) == 2:
                 a, b = kids

@@ -8,6 +8,8 @@ success, 2 input error, 4 empty query result.
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import sys
 import time
 from typing import IO, Iterator
@@ -257,7 +259,10 @@ def _positive(value: str) -> int:
     return number
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and then shared: parsing does
+    not change it."""
     parser = argparse.ArgumentParser(
         prog="colored-prufer",
         description="Canonical codes for vertex-colored arborescences",
@@ -321,8 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # The package builds no reference cycles, so the cyclic collector is
+    # paused for the command; the caller's setting is restored on exit.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ColoredPruferError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -330,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
     except UnicodeDecodeError as exc:
         print(f"error: input is not valid UTF-8 ({exc.reason})", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

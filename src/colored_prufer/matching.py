@@ -146,18 +146,15 @@ class SubtreeTable:
         self._yes: list[set[int]] = []
         self._no: list[set[int]] = []
 
-    def _id(self, key: tuple[int, tuple[int, ...]]) -> int:
-        """Id of a key whose child ids are sorted, made if new."""
-        sid = self._ids.get(key)
-        return self._add(key) if sid is None else sid
-
-    def _add(self, key: tuple[int, tuple[int, ...]]) -> int:
-        sid = len(self.color)
+    def _new(self, key: tuple[int, tuple[int, ...]], size: int = 0) -> int:
+        """Make the id of a key not interned yet, its child ids sorted.
+        A caller that knows the key's size passes it, as for a leaf, a
+        unary key or a rerooted side; otherwise it is summed here."""
+        sid = len(self.size)
         self._ids[key] = sid
-        color, kid_ids = key
-        self.color.append(color)
-        self.kids.append(kid_ids)
-        self.size.append(1 + sum(map(self.size.__getitem__, kid_ids)))
+        self.color.append(key[0])
+        self.kids.append(key[1])
+        self.size.append(size or 1 + sum(map(self.size.__getitem__, key[1])))
         self._yes.append(_UNSET)
         self._no.append(_UNSET)
         return sid
@@ -165,9 +162,10 @@ class SubtreeTable:
     def intern_code(self, code: Vcpc) -> Rooted:
         """Intern a code's prune-step tree in one monotonic-stack scan:
         a step's parent is pruned at its next smaller parents entry (the
-        sentinel counting as -1), so its children are the steps it pops."""
+        sentinel counting as -1), so its children are the steps it pops.
+        A unary step pops just the top."""
         parents, colors = code.parents, code.colors
-        known = self._ids
+        known, new, size = self._ids, self._new, self.size
         ids: list[int] = []
         kids: list[Sequence[int]] = []
         firsts: dict[int, int] = {}
@@ -176,22 +174,26 @@ class SubtreeTable:
         for step, value in enumerate(parents):
             if value is None:
                 value = -1
-            if top > value:
-                k = len(stack) - 1
+            if top <= value:
+                mine = ()
+                key = (colors[step], ())
+                grown = 1
+            elif len(stack) < 2 or parents[stack[-2]] <= value:
+                child = stack.pop()
+                mine = [child]
+                key = (colors[step], (ids[child],))
+                grown = size[ids[child]] + 1
+            else:
+                k = len(stack) - 2
                 while k and parents[stack[k - 1]] > value:
                     k -= 1
                 mine = stack[k:]
                 del stack[k:]
-                if len(mine) == 1:
-                    key = (colors[step], (ids[mine[0]],))
-                else:
-                    key = (colors[step], tuple(sorted(map(ids.__getitem__, mine))))
-            else:
-                mine = ()
-                key = (colors[step], ())
+                key = (colors[step], tuple(sorted(map(ids.__getitem__, mine))))
+                grown = 0
             sid = known.get(key)
             if sid is None:
-                sid = self._add(key)
+                sid = new(key, grown)
             ids.append(sid)
             kids.append(mine)
             if sid not in firsts:
@@ -458,20 +460,28 @@ def _side_ids(table: SubtreeTable, tree: ColoredArborescence) -> tuple[list[int]
     child id gets one up-id: that list less one copy of the child's id.
     """
     order = tree.bfs_order()
-    colors, children = tree.colors, tree.children
-    make = table._id
-    down = [0] * tree.n
+    colors, children, n = tree.colors, tree.children, tree.n
+    known, new, size = table._ids, table._new, table.size
+    down = [0] * n
     for v in reversed(order):
         kids = children[v]
-        if len(kids) > 1:
-            down[v] = make((colors[v], tuple(sorted([down[c] for c in kids]))))
+        if not kids:
+            key, grown = (colors[v], ()), 1
+        elif len(kids) == 1:
+            d = down[kids[0]]
+            key, grown = (colors[v], (d,)), size[d] + 1
         else:
-            down[v] = make((colors[v], (down[kids[0]],) if kids else ()))
-    up = [-1] * tree.n
+            key, grown = (colors[v], tuple(sorted([down[c] for c in kids]))), 0
+        sid = known.get(key)
+        down[v] = new(key, grown) if sid is None else sid
+    # an up side holds every vertex outside the child's down side
+    up = [-1] * n
     for p in order:
         kids = children[p]
         if len(kids) == 1:
-            up[kids[0]] = make((colors[p], (up[p],) if up[p] >= 0 else ()))
+            key = (colors[p], (up[p],) if up[p] >= 0 else ())
+            sid = known.get(key)
+            up[kids[0]] = new(key, n - size[down[kids[0]]]) if sid is None else sid
             continue
         outside = [down[c] for c in kids]
         if up[p] >= 0:
@@ -482,7 +492,9 @@ def _side_ids(table: SubtreeTable, tree: ColoredArborescence) -> tuple[list[int]
             d = down[c]
             if d not in made:
                 k = outside.index(d)
-                made[d] = make((colors[p], tuple(outside[:k] + outside[k + 1 :])))
+                key = (colors[p], tuple(outside[:k] + outside[k + 1 :]))
+                sid = known.get(key)
+                made[d] = new(key, n - size[d]) if sid is None else sid
             up[c] = made[d]
     return down, up
 

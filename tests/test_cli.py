@@ -1,5 +1,6 @@
 """Command-line surface: JSONL streams, exit codes, pipe composition."""
 
+import gc
 import hashlib
 import io
 import json
@@ -433,6 +434,53 @@ def test_poset_workers_accepted_and_ignored(cli):
     with pytest.raises(SystemExit) as exc:
         cli(["poset", "--workers", "0"], text)
     assert exc.value.code == 2
+
+
+def test_consecutive_calls_do_not_leak_options(cli):
+    swapped = json.dumps({"parents": [0, 0, None], "colors": [2, 1, 0], "n": 3}) + "\n"
+    assert cli(["decode", "--strict"], swapped)[0] == 2
+    code, out, _ = cli(["decode"], swapped)
+    assert code == 0 and out.count("\n") == 1
+    p3 = '{"edges": [[0,1],[1,2]], "colors": {"0":7,"1":7,"2":7}}\n'
+    p2 = '{"edges": [[0,1]], "colors": {"0":7,"1":7}}\n'
+    assert cli(["most-common", "--max-order", "1"], p3 + p2)[0] == 4
+    code, out, _ = cli(["most-common"], p3 + p2)
+    assert code == 0 and json.loads(out)["count"] == 2
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_setting_restored_on_every_exit(cli, enabled):
+    text = corpus_text([vcpc_build_tree()])
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert cli(["canon"], text)[0] == 0
+        assert gc.isenabled() is enabled
+        assert cli(["canon"], "{nope\n")[0] == 2
+        assert gc.isenabled() is enabled
+        with pytest.raises(SystemExit):
+            cli(["canon", "--no-such-flag"])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["encode"], ["canon"], ["iso-classes"], ["poset"], ["most-common"], ["decode", "--strict"]],
+)
+def test_batch_command_leaves_no_cyclic_garbage(cli, args):
+    _, corpus, _ = cli(["gen", "--m", "12", "--n", "60", "--c", "3", "--seed", "4"])
+    _, codes, _ = cli(["encode"], corpus)
+    was = gc.isenabled()
+    gc.disable()  # so that no pass during the command hides its garbage
+    try:
+        gc.collect()
+        assert cli(args, codes if args[0] == "decode" else corpus)[0] == 0
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
 
 
 def test_console_entry_point_runs():

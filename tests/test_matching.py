@@ -24,7 +24,7 @@ from colored_prufer import (
     undirected_subtree,
 )
 from colored_prufer.errors import IndexOutOfRange, SentinelCompared
-from colored_prufer.matching import SubtreeTable, _cover_left
+from colored_prufer.matching import SubtreeTable, _cover_left, _side_ids
 from colored_prufer.oracle import random_trees
 
 from golden import (
@@ -515,6 +515,25 @@ def test_contained_is_every_id_that_maps_anywhere_in_the_tree():
     for tree in trees:
         brute = {q for q in ids if any(fresh.can_map(q, h) for h in tree.ids)}
         assert table.contained(tree) == brute
+
+
+def test_codes_and_edge_sides_share_one_key_space():
+    """A code's prune steps and a tree's rerooted sides intern to the same
+    ids, and each id's size row is its vertex count, whichever made it."""
+    trees = [t for c in (1, 2, 3) for t in random_trees(10, 60, c, seed=60 + c)]
+    for tree, code_first in itertools.product(trees + [_path(1500), _broom(6, 40)], (True, False)):
+        table = SubtreeTable()
+        if code_first:
+            rooted = table.intern_code(_code(tree))
+        down, _ = _side_ids(table, tree)
+        if not code_first:
+            rooted = table.intern_code(_code(tree))
+        assert rooted.ids[-1] == down[tree.root]
+        rows = (table.color, table.kids, table.size, table._yes, table._no)
+        assert len(set(map(len, rows))) == 1
+        for i, kids in enumerate(table.kids):
+            assert table.size[i] == 1 + sum(table.size[k] for k in kids)
+            assert table._ids[(table.color[i], kids)] == i
 
 
 def test_witness_refuses_a_pair_that_does_not_map():
