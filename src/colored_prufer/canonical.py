@@ -82,7 +82,6 @@ def sorted_siblings(tree: ColoredArborescence):
 
     sorted_children = list(tree.children)
     child_colors: list[tuple[Color, ...]] = [()] * tree.n
-    single: dict[Color, tuple[Color]] = {}  # one child-color array per color
     for v in reversed(tree.bfs_order()):
         kids = sorted_children[v]
         if not kids:
@@ -90,12 +89,9 @@ def sorted_siblings(tree: ColoredArborescence):
         # Most inner vertices have one or two children; only larger
         # families go through cmp_to_key.
         if len(kids) == 1:
-            color = colors[kids[0]]
-            arrays = single.get(color)
-            if arrays is None:
-                arrays = single[color] = (color,)
-            child_colors[v] = arrays
-            key = (color, ident[kids[0]])
+            c = kids[0]
+            arrays = child_colors[v] = (colors[c],)
+            key = (colors[c], ident[c])
         else:
             if len(kids) == 2:
                 a, b = kids

@@ -326,8 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # The package builds no reference cycles, so the cyclic collector is
-    # paused for the command; the caller's setting is restored on exit.
+    # No command leaves reference cycles (tests/test_cli.py runs each with
+    # the collector off), so the cyclic collector is paused for the
+    # command; the caller's setting is restored on exit.
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -111,7 +111,12 @@ def enumerate_embeddings(
                 return True
         return False
 
-    extend(0)
+    try:
+        extend(0)
+    finally:
+        # extend reaches itself through its closure cell; emptying the cell
+        # breaks that cycle, so each search is freed by reference counting.
+        del extend
     return results
 
 

@@ -467,11 +467,27 @@ def test_collector_setting_restored_on_every_exit(cli, enabled):
 
 @pytest.mark.parametrize(
     "args",
-    [["encode"], ["canon"], ["iso-classes"], ["poset"], ["most-common"], ["decode", "--strict"]],
+    [
+        ["gen", "--m", "12", "--n", "60", "--c", "3", "--seed", "4"],
+        ["encode"],
+        ["canon"],
+        ["iso-classes"],
+        ["poset"],
+        ["most-common"],
+        ["decode", "--strict"],
+        ["subtree", "QUERY", "HOST"],
+        ["subtree-undirected", "QUERY", "HOST"],
+        ["bench", "--m", "6", "--n", "40", "--c", "2"],
+    ],
 )
-def test_batch_command_leaves_no_cyclic_garbage(cli, args):
+def test_every_command_leaves_no_cyclic_garbage(cli, tmp_path, args):
     _, corpus, _ = cli(["gen", "--m", "12", "--n", "60", "--c", "3", "--seed", "4"])
     _, codes, _ = cli(["encode"], corpus)
+    query = tmp_path / "q.jsonl"
+    host = tmp_path / "h.jsonl"
+    query.write_text(json.dumps(tree_to_json(subtree_query_3())) + "\n")
+    host.write_text(json.dumps(tree_to_json(subtree_host_2())) + "\n")
+    args = [{"QUERY": str(query), "HOST": str(host)}.get(a, a) for a in args]
     was = gc.isenabled()
     gc.disable()  # so that no pass during the command hides its garbage
     try:
