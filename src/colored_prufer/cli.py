@@ -12,7 +12,7 @@ import functools
 import gc
 import sys
 import time
-from typing import IO, Iterator
+from typing import Iterator
 
 from . import corpus as corpus_mod
 from . import oracle
@@ -23,9 +23,9 @@ from .matching import subtree_search, undirected_subtree
 from .trees import (
     ColoredArborescence,
     iter_corpus,
+    iter_json_lines,
     json_line,
     load_color_table,
-    parse_json,
     tree_to_json,
     write_corpus,
 )
@@ -35,15 +35,18 @@ EXIT_INPUT = 2
 EXIT_EMPTY = 4
 
 
-def _open_in(path: str | None) -> IO[str]:
-    if path is None or path == "-":
-        return sys.stdin
-    return open(path, "r", encoding="utf-8")
-
-
 def _emit(obj) -> None:
     sys.stdout.write(json_line(obj))
     sys.stdout.write("\n")
+
+
+def _input_lines(args) -> Iterator[str]:
+    """The lines of the input path, or of stdin for ``-``."""
+    if args.input in (None, "-"):
+        yield from sys.stdin
+        return
+    with open(args.input, "r", encoding="utf-8") as fp:
+        yield from fp
 
 
 def _read_trees(args) -> Iterator[ColoredArborescence]:
@@ -51,24 +54,7 @@ def _read_trees(args) -> Iterator[ColoredArborescence]:
     if getattr(args, "color_table", None):
         with open(args.color_table, "r", encoding="utf-8") as fp:
             table = load_color_table(fp)
-    stream = _open_in(args.input)
-    try:
-        yield from iter_corpus(stream, table)
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
-
-
-def _read_code_lines(args) -> Iterator[tuple[int, object]]:
-    """Line number and parsed JSON of every non-blank input line."""
-    stream = _open_in(args.input)
-    try:
-        for line_no, raw in enumerate(stream, start=1):
-            if raw.strip():
-                yield line_no, parse_json(raw, line_no)
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
+    yield from iter_corpus(_input_lines(args), table)
 
 
 def _read_single_tree(path: str) -> ColoredArborescence:
@@ -96,7 +82,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    for position, (line_no, parsed) in enumerate(_read_code_lines(args)):
+    for position, (line_no, parsed) in enumerate(iter_json_lines(_input_lines(args))):
         try:
             tree = decode(Vcpc.from_json(parsed), strict=args.strict)
         except InvalidCode as exc:

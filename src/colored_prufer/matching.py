@@ -202,6 +202,53 @@ class SubtreeTable:
             top = value
         return Rooted(ids, kids, firsts)
 
+    def intern_sides(self, tree: ColoredArborescence) -> tuple[list[int], list[int]]:
+        """Subtree ids of both sides of every edge, by one rerooting pass.
+
+        ``down[v]`` is v's side of the edge to its parent, rooted at v;
+        ``up[v]`` is the parent's side, rooted at the parent (-1 at the root).
+        At each vertex the ids outside it are sorted once, and each distinct
+        child id gets one up-id: that list less one copy of the child's id.
+        """
+        order = tree.bfs_order()
+        colors, children, n = tree.colors, tree.children, tree.n
+        known, new, size = self._ids, self._new, self.size
+        down = [0] * n
+        for v in reversed(order):
+            kids = children[v]
+            if not kids:
+                key, grown = (colors[v], ()), 1
+            elif len(kids) == 1:
+                d = down[kids[0]]
+                key, grown = (colors[v], (d,)), size[d] + 1
+            else:
+                key, grown = (colors[v], tuple(sorted([down[c] for c in kids]))), 0
+            sid = known.get(key)
+            down[v] = new(key, grown) if sid is None else sid
+        # an up side holds every vertex outside the child's down side
+        up = [-1] * n
+        for p in order:
+            kids = children[p]
+            if len(kids) == 1:
+                key = (colors[p], (up[p],) if up[p] >= 0 else ())
+                sid = known.get(key)
+                up[kids[0]] = new(key, n - size[down[kids[0]]]) if sid is None else sid
+                continue
+            outside = [down[c] for c in kids]
+            if up[p] >= 0:
+                outside.append(up[p])
+            outside.sort()
+            made: dict[int, int] = {}
+            for c in kids:
+                d = down[c]
+                if d not in made:
+                    k = outside.index(d)
+                    key = (colors[p], tuple(outside[:k] + outside[k + 1 :]))
+                    sid = known.get(key)
+                    made[d] = new(key, n - size[d]) if sid is None else sid
+                up[c] = made[d]
+        return down, up
+
     def _known(self, q: int, h: int) -> bool | None:
         """Whether q maps onto h root on root, or ``None`` if undecided.
         Equal ids map at once."""
@@ -224,18 +271,37 @@ class SubtreeTable:
             and len(self.kids[q]) <= len(self.kids[h])
         )
 
-    def _edges(self, qs: Sequence[int], hs: Sequence[int]) -> list[list[int]]:
-        """Bipartite graph of pairs known to map: the positions in hs each
-        q in qs maps onto.  Each row scans only the hosts of q's color."""
-        color, known = self.color, self._known
+    def _edges(
+        self, qs: Sequence[int], hs: Sequence[int]
+    ) -> tuple[list[list[int]], list[tuple[int, int]]]:
+        """The child pairs of qs and hs; ``can_map`` and ``witness`` read
+        child pairs nowhere else.
+
+        Returns, per q in qs, the positions in hs it is known to map onto,
+        in host order, and the distinct pairs still undecided that color,
+        size and out-degree allow.  Each q scans only the hosts of its
+        color, bucketed once here.
+        """
+        color, size, kids, known = self.color, self.size, self.kids, self._known
         slots: dict[int, list[int]] = {}
         for j, h in enumerate(hs):
             slots.setdefault(color[h], []).append(j)
         rows: dict[int, list[int]] = {}
+        pending: list[tuple[int, int]] = []
         for q in qs:
-            if q not in rows:
-                rows[q] = [j for j in slots.get(color[q], ()) if known(q, hs[j])]
-        return [rows[q] for q in qs]
+            if q in rows:
+                continue
+            row = rows[q] = []
+            for j in slots.get(color[q], ()):
+                h = hs[j]
+                mapped = known(q, h)
+                if mapped:
+                    row.append(j)
+                elif mapped is None and size[q] <= size[h] and len(kids[q]) <= len(kids[h]):
+                    pending.append((q, h))
+        if pending:
+            pending = list(dict.fromkeys(pending))  # a host id repeated in hs
+        return [rows[q] for q in qs], pending
 
     def can_map(self, q: int, h: int) -> bool:
         """Whether subtree ``q`` embeds in subtree ``h`` with root on root.
@@ -247,7 +313,6 @@ class SubtreeTable:
         if not fits(q, h):
             return False
         kids = self.kids
-        color, size = self.color, self.size
         stack = [(q, h)]
         while stack:
             a, b = stack[-1]
@@ -272,26 +337,13 @@ class SubtreeTable:
                     record(x, y, mapped)
                 stack.pop()
                 continue
-            hosts: dict[int, list[int]] = {}
-            for y in set(kb):
-                hosts.setdefault(color[y], []).append(y)
-            pending = [
-                (x, y)
-                for x in set(ka)
-                for y in hosts.get(color[x], ())
-                if size[x] <= size[y] and len(kids[x]) <= len(kids[y]) and known(x, y) is None
-            ]
+            rows, pending = self._edges(ka, kb)
             if pending:
                 stack.extend(pending)
                 continue
             stack.pop()
             # every child pair is decided: match the children by known pairs
-            if len(ka) <= 1:
-                mapped = not ka or any(known(ka[0], y) for y in kb)
-            else:
-                rows = self._edges(ka, kb)
-                mapped = all(rows) and _cover_left(rows, len(kb)) is not None
-            record(a, b, mapped)
+            record(a, b, all(rows) and _cover_left(rows, len(kb)) is not None)
         return known(q, h) is True
 
     def sweep(self) -> None:
@@ -308,10 +360,12 @@ class SubtreeTable:
         # per color, each id with children is listed once, under its
         # largest child; a color has at most one leaf id
         parents: dict[int, dict[int, list[int]]] = {c: {} for c in self.color}
+        leaves: dict[int, int] = {}
         for p, kid_ids in enumerate(kids):
             if kid_ids:
                 parents[self.color[p]].setdefault(kid_ids[-1], []).append(p)
-        leaves = {color: sid for (color, kid_ids), sid in self._ids.items() if not kid_ids}
+            else:
+                leaves[self.color[p]] = p
         for h, color in enumerate(self.color):
             rows: dict[int, list[int]] = {}
             for j, y in enumerate(kids[h]):
@@ -378,27 +432,11 @@ class SubtreeTable:
                             break
                 stack.append((qa[0], y))
             elif qa:
-                edges = self._edges([q_ids[x] for x in qa], [h_ids[y] for y in hb])
+                edges, _ = self._edges([q_ids[x] for x in qa], [h_ids[y] for y in hb])
                 for y, left in zip(hb, _cover_left(edges, len(hb))):
                     if left >= 0:
                         stack.append((qa[left], y))
         return tuple(image)
-
-    def search(self, query: Rooted, host: Rooted) -> tuple[tuple[int, ...] | None, int]:
-        """First witness over the host's prune steps in order, and the
-        number of distinct host subtrees tried as the query root's image
-        (those that pass the color, size and out-degree filters)."""
-        root = query.ids[-1]
-        color, size, kids = self.color, self.size, self.kids
-        c, s, d = color[root], size[root], len(kids[root])
-        tried = 0
-        for sid in host.firsts:
-            if color[sid] != c or size[sid] < s or len(kids[sid]) < d:
-                continue
-            tried += 1
-            if self.can_map(root, sid):
-                return self.witness(query, host, sid), tried
-        return None, tried
 
 
 # --- entry points -------------------------------------------------------------
@@ -436,8 +474,19 @@ def subtree_search(
             return SubtreeResult(None, 0)
         i = j
     table = SubtreeTable()
-    witness, tried = table.search(table.intern_code(pq), table.intern_code(p))
-    return SubtreeResult(witness, tried)
+    query, host = table.intern_code(pq), table.intern_code(p)
+    # the candidate filter is _fits, inlined: one method call per host
+    # subtree costs the long path queries a few percent
+    root = query.ids[-1]
+    color, size, kids = table.color, table.size, table.kids
+    c, s, d = color[root], size[root], len(kids[root])
+    tried = 0
+    for sid in host.firsts:
+        if color[sid] == c and size[sid] >= s and len(kids[sid]) >= d:
+            tried += 1
+            if table.can_map(root, sid):
+                return SubtreeResult(table.witness(query, host, sid), tried)
+    return SubtreeResult(None, tried)
 
 
 def is_subarborescence(pq: Vcpc, p: Vcpc) -> tuple[int, ...] | None:
@@ -449,54 +498,6 @@ def is_subarborescence(pq: Vcpc, p: Vcpc) -> tuple[int, ...] | None:
 
 
 # --- undirected extension -------------------------------------------------
-
-
-def _side_ids(table: SubtreeTable, tree: ColoredArborescence) -> tuple[list[int], list[int]]:
-    """Subtree ids of both sides of every edge, by one rerooting pass.
-
-    ``down[v]`` is v's side of the edge to its parent, rooted at v;
-    ``up[v]`` is the parent's side, rooted at the parent (-1 at the root).
-    At each vertex the ids outside it are sorted once, and each distinct
-    child id gets one up-id: that list less one copy of the child's id.
-    """
-    order = tree.bfs_order()
-    colors, children, n = tree.colors, tree.children, tree.n
-    known, new, size = table._ids, table._new, table.size
-    down = [0] * n
-    for v in reversed(order):
-        kids = children[v]
-        if not kids:
-            key, grown = (colors[v], ()), 1
-        elif len(kids) == 1:
-            d = down[kids[0]]
-            key, grown = (colors[v], (d,)), size[d] + 1
-        else:
-            key, grown = (colors[v], tuple(sorted([down[c] for c in kids]))), 0
-        sid = known.get(key)
-        down[v] = new(key, grown) if sid is None else sid
-    # an up side holds every vertex outside the child's down side
-    up = [-1] * n
-    for p in order:
-        kids = children[p]
-        if len(kids) == 1:
-            key = (colors[p], (up[p],) if up[p] >= 0 else ())
-            sid = known.get(key)
-            up[kids[0]] = new(key, n - size[down[kids[0]]]) if sid is None else sid
-            continue
-        outside = [down[c] for c in kids]
-        if up[p] >= 0:
-            outside.append(up[p])
-        outside.sort()
-        made: dict[int, int] = {}
-        for c in kids:
-            d = down[c]
-            if d not in made:
-                k = outside.index(d)
-                key = (colors[p], tuple(outside[:k] + outside[k + 1 :]))
-                sid = known.get(key)
-                made[d] = new(key, n - size[d]) if sid is None else sid
-            up[c] = made[d]
-    return down, up
 
 
 def undirected_subtree(
@@ -518,14 +519,14 @@ def undirected_subtree(
     if t1.n == 1:
         return t1.colors[0] in t2.colors
     table = SubtreeTable()
-    down, up = _side_ids(table, t1)
+    down, up = table.intern_sides(t1)
     if len(t1.children[t1.root]) == 1:
         f = t1.root
         query = down[t1.children[f][0]]
     else:
         f = next(v for v in range(t1.n) if not t1.children[v])
         query = up[f]
-    down, up = _side_ids(table, t2)
+    down, up = table.intern_sides(t2)
     parent = t2.parent_map()
     color = t1.colors[f]
     hosts = {down[v] for v in range(t2.n) if v != t2.root and t2.colors[parent[v]] == color}

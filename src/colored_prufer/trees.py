@@ -275,6 +275,19 @@ def _tree_from_json(obj: dict, line: int, color_table: Mapping[str, int] | None)
     return edges, colors, root, tree_id
 
 
+def iter_json_lines(
+    source: IO[str] | IO[bytes] | Iterable[str] | Iterable[bytes],
+) -> Iterator[tuple[int, object]]:
+    """Line number (from 1) and parsed JSON of every non-blank line of a
+    JSONL source; a bytes line is decoded as UTF-8 first.  A line that
+    does not parse is a :class:`ParseError` at its number."""
+    for line_no, raw in enumerate(source, start=1):
+        if isinstance(raw, bytes):
+            raw = raw.decode("utf-8")
+        if raw.strip():
+            yield line_no, parse_json(raw, line_no)
+
+
 def iter_corpus(
     source: IO[str] | IO[bytes] | Iterable[str] | Iterable[bytes],
     color_table: Mapping[str, int] | None = None,
@@ -286,12 +299,7 @@ def iter_corpus(
     that parse but do not describe an arborescence.  Line numbers are
     1-based.
     """
-    for line_no, raw in enumerate(source, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        if not raw.strip():
-            continue
-        obj = parse_json(raw, line_no)
+    for line_no, obj in iter_json_lines(source):
         edges, colors, root, tree_id = _tree_from_json(obj, line_no, color_table)
         try:
             tree = build_tree(edges, colors, root=root, tree_id=tree_id or None)

@@ -24,7 +24,7 @@ from colored_prufer import (
     undirected_subtree,
 )
 from colored_prufer.errors import IndexOutOfRange, SentinelCompared
-from colored_prufer.matching import SubtreeTable, _cover_left, _side_ids
+from colored_prufer.matching import SubtreeTable, _cover_left
 from colored_prufer.oracle import random_trees
 
 from golden import (
@@ -490,6 +490,62 @@ def test_long_path_in_longer_path_with_witness():
     assert undirected_subtree(query, host)
 
 
+def _colored_path(colors):
+    """Path rooted at vertex 0, colored top-down by ``colors``."""
+    n = len(colors)
+    return build_tree([(v, v + 1) for v in range(n - 1)], dict(enumerate(colors)))
+
+
+def test_two_colored_long_paths_match_the_substring_closed_form():
+    # distinct subtree ids all along both paths, so the unary chain walks
+    # them instead of the equal-id shortcut deciding at once
+    rng = random.Random(62)
+    host_colors = [rng.randrange(2) for _ in range(1500)]
+    start = rng.randrange(1500 - 900 + 1)
+    planted = host_colors[start : start + 900]
+    queries = [planted, planted[::-1], [rng.randrange(2) for _ in range(900)]]
+    host = _colored_path(host_colors)
+    text = "".join(map(str, host_colors))
+    verdicts = []
+    for colors in queries:
+        query = _colored_path(colors)
+        word = "".join(map(str, colors))
+        witness = is_subarborescence(_code(query), _code(host))
+        assert (witness is not None) == (word in text)
+        if witness is not None:
+            assert _witness_is_sound(_code(query), host, witness)
+        undirected = undirected_subtree(query, host)
+        assert undirected == (word in text or word[::-1] in text)
+        verdicts.append((witness is not None, undirected))
+    assert verdicts[0] == (True, True) and verdicts[-1] == (False, False)
+
+
+def test_edges_rows_and_pending_pairs_on_a_hand_built_table():
+    table = SubtreeTable()
+    leaf0 = table._new((0, ()))
+    leaf1 = table._new((1, ()))
+    path2 = table._new((0, (leaf0,)))
+    path3 = table._new((0, (path2,)))
+    cherry = table._new((0, (leaf0, leaf0)))
+    mixed = table._new((0, (leaf1,)))
+    broom = table._new((0, (leaf0, path2)))
+    table._record(path2, cherry, True)
+    table._record(path2, mixed, False)
+    qs = [path2, cherry, leaf1, path2]
+    hs = [path3, cherry, leaf1, path2, cherry, mixed, path3, broom]
+    rows, pending = table._edges(qs, hs)
+    # known pairs in host order, equal ids included, every position of a
+    # repeated host id; no decided-negative pair, no other color, and
+    # cherry onto path3 (too few children) or path2 (too small) in neither
+    assert rows == [[1, 3, 4], [1, 4], [2], [1, 3, 4]]
+    assert sorted(pending) == sorted([(path2, path3), (path2, broom), (cherry, broom)])
+    assert len(pending) == len(set(pending))
+    assert table.can_map(path2, path3) and table.can_map(cherry, broom)
+    rows, pending = table._edges(qs, hs)
+    assert rows[0] == [0, 1, 3, 4, 6] and rows[1] == [1, 4, 7]
+    assert pending == [(path2, broom)]  # no call has needed it yet
+
+
 def test_sweep_memo_is_exact_and_linear_in_the_relation():
     codes = [_code(t) for t in random_trees(12, 160, 3, seed=57)]
     table, fresh = SubtreeTable(), SubtreeTable()
@@ -525,7 +581,7 @@ def test_codes_and_edge_sides_share_one_key_space():
         table = SubtreeTable()
         if code_first:
             rooted = table.intern_code(_code(tree))
-        down, _ = _side_ids(table, tree)
+        down, _ = table.intern_sides(tree)
         if not code_first:
             rooted = table.intern_code(_code(tree))
         assert rooted.ids[-1] == down[tree.root]
