@@ -123,8 +123,11 @@ def _preorder(tree: ColoredArborescence, sorted_children) -> list[VertexId]:
     while stack:
         v = stack.pop()
         inverse.append(v)
-        if sorted_children[v]:
-            stack += sorted_children[v][::-1]
+        kids = sorted_children[v]
+        if len(kids) == 1:
+            stack.append(kids[0])
+        elif kids:
+            stack += kids[::-1]
     return inverse
 
 

@@ -165,10 +165,14 @@ def encode_canonical(tree: ColoredArborescence) -> tuple[Vcpc, PruneTrace]:
         else:
             rank[v] = r
             r += 1
-            if sorted_children[v]:
+            kids = sorted_children[v]
+            if kids:
                 ancestors.append(v)
                 stack.append(-1)
-                stack += sorted_children[v][::-1]
+                if len(kids) == 1:
+                    stack.append(kids[0])
+                else:
+                    stack += kids[::-1]
                 continue
         pruned.append(v)
         parent_of.append(ancestors[-1])

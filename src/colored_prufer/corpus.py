@@ -52,22 +52,14 @@ class CorpusPoset:
 def partition_by_isomorphism(corpus: Sequence[ColoredArborescence]) -> list[IsoClass]:
     """Group a corpus by exact code equality, ids in first-appearance order."""
     groups: dict[Vcpc, list[str]] = {}
-    order: list[Vcpc] = []
     for position, tree in enumerate(corpus):
         code, _ = encode_canonical(tree)
         member = tree.tree_id if tree.tree_id is not None else str(position)
-        if code not in groups:
-            groups[code] = []
-            order.append(code)
-        groups[code].append(member)
+        # one lookup per tree: hashing a code hashes both of its rows
+        groups.setdefault(code, []).append(member)
     return [
-        IsoClass(
-            class_id=k,
-            representative=code,
-            member_ids=tuple(groups[code]),
-            size=len(groups[code]),
-        )
-        for k, code in enumerate(order)
+        IsoClass(class_id=k, representative=code, member_ids=tuple(members), size=len(members))
+        for k, (code, members) in enumerate(groups.items())
     ]
 
 

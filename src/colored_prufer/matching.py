@@ -22,6 +22,13 @@ entry drops below ``parents[a]`` (the terminal sentinel counting as
 smaller than every label).  So step ``b`` is the parent of step ``a``
 exactly when ``parents[b] < parents[a]`` and no step strictly between
 them drops below ``parents[a]``.
+
+Both readings hold only for codes whose ranks are a depth-first preorder
+of their tree, such as every canonical code.  :func:`validate_code
+<colored_prufer.codec.validate_code>` also accepts a tree's code under
+any other rank order that puts the root first, so the interning scan
+checks the preorder and raises :class:`InvalidCode` on a code off it
+rather than misread it.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .codec import Vcpc
-from .errors import IndexOutOfRange, SentinelCompared
+from .errors import IndexOutOfRange, InvalidCode, SentinelCompared
 from .trees import ColoredArborescence
 
 # Default of the ignored third argument of subtree_search and
@@ -40,6 +47,8 @@ DEFAULT_CANDIDATE_CAP = 10**6
 
 # The memo row of every id until its first write; never written itself.
 _UNSET: frozenset[int] = frozenset()
+
+_NOT_PREORDER = "code ranks are not a depth-first preorder of its tree"
 
 
 class Rooted(NamedTuple):
@@ -63,7 +72,9 @@ def codes_isomorphic(p: Vcpc, q: Vcpc) -> bool:
 def code_adjacent(p: Vcpc, i: int, j: int) -> bool:
     """Whether the vertex pruned at step j is the parent of the one at step i.
 
-    Both positions must be non-sentinel: ``i < j < n-1``.
+    Both positions must be non-sentinel: ``i < j < n-1``.  The answer is
+    right for codes ranked in depth-first preorder, as canonical codes
+    are (see the module docstring); it is not checked here.
     """
     if j == p.n - 1:
         raise SentinelCompared("position n-1 holds the sentinel, not a parent label")
@@ -148,8 +159,9 @@ class SubtreeTable:
 
     def _new(self, key: tuple[int, tuple[int, ...]], size: int = 0) -> int:
         """Make the id of a key not interned yet, its child ids sorted.
-        A caller that knows the key's size passes it, as for a leaf, a
-        unary key or a rerooted side; otherwise it is summed here."""
+        A caller that knows the key's size passes it, as every prune step
+        does and a leaf, a unary key or a rerooted side of an edge; otherwise
+        it is summed here."""
         sid = len(self.size)
         self._ids[key] = sid
         self.color.append(key[0])
@@ -163,7 +175,13 @@ class SubtreeTable:
         """Intern a code's prune-step tree in one monotonic-stack scan:
         a step's parent is pruned at its next smaller parents entry (the
         sentinel counting as -1), so its children are the steps it pops.
-        A unary step pops just the top."""
+        A unary step pops just the top.
+
+        That reading holds only for codes ranked in depth-first preorder,
+        so the same scan checks it and raises :class:`InvalidCode` where
+        it fails: the children a step pops share one parents entry r, the
+        step's rank, and each child with children of its own has rank r+1
+        plus the sizes of the children before it."""
         parents, colors = code.parents, code.colors
         known, new, size = self._ids, self._new, self.size
         ids: list[int] = []
@@ -180,6 +198,9 @@ class SubtreeTable:
                 grown = 1
             elif len(stack) < 2 or parents[stack[-2]] <= value:
                 child = stack.pop()
+                below = kids[child]
+                if below and parents[below[0]] != top + 1:
+                    raise InvalidCode(_NOT_PREORDER)
                 mine = [child]
                 key = (colors[step], (ids[child],))
                 grown = size[ids[child]] + 1
@@ -189,8 +210,18 @@ class SubtreeTable:
                     k -= 1
                 mine = stack[k:]
                 del stack[k:]
+                # the stack's entries never decrease upward, so the children
+                # share one entry when the first and the last (top) do
+                rank = parents[mine[0]]
+                if rank != top:
+                    raise InvalidCode(_NOT_PREORDER)
+                grown = 1
+                for child in mine:
+                    below = kids[child]
+                    if below and parents[below[0]] != rank + grown:
+                        raise InvalidCode(_NOT_PREORDER)
+                    grown += size[ids[child]]
                 key = (colors[step], tuple(sorted(map(ids.__getitem__, mine))))
-                grown = 0
             sid = known.get(key)
             if sid is None:
                 sid = new(key, grown)
@@ -459,7 +490,9 @@ def subtree_search(
     vertex takes it.  ``candidates_examined`` counts the distinct subtrees
     of p tried as the image of pq's root after the color, size and
     out-degree filters.  ``candidate_cap`` is accepted for compatibility
-    and ignored: the decider needs no cap.
+    and ignored: the decider needs no cap.  Both codes must be ranked in
+    depth-first preorder, as canonical codes are; :class:`InvalidCode`
+    is raised for one that is not.
     """
     if pq.n > p.n:
         return SubtreeResult(None, 0)

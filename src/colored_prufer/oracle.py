@@ -9,7 +9,6 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
 
 from .canonical import canonical_order
 from .codec import prufer_to_edges
@@ -63,60 +62,58 @@ def enumerate_embeddings(
     order of tq and t's canonical order restricted to the image.  Raises
     :class:`SearchBudgetExceeded` past ``node_budget`` expansions;
     ``limit`` stops early after that many embeddings.
+
+    Query vertices are assigned parents first, in one loop over a stack
+    that holds an iterator of candidate images per assigned vertex and
+    one for the next.  The unordered search takes tq breadth first and
+    tries hosts in id order, so it computes no canonical order.  The
+    ordered one takes tq in canonical order and tries hosts in t's,
+    skipping each one ranked before the last image.
     """
     if tq.n > t.n:
         return []
-    q_order = canonical_order(tq)
-    t_order = canonical_order(t)
-    q_by_rank = q_order.inverse
+    if ordered:
+        sequence = canonical_order(tq).inverse
+        t_order = canonical_order(t)
+        rank, roots = t_order.phi, t_order.inverse
+        pools = [sorted(kids, key=rank.__getitem__) for kids in t.children]
+    else:
+        sequence = tq.bfs_order()
+        roots, pools = range(t.n), t.children
+    at = {v: k for k, v in enumerate(sequence)}
     q_parent = tq.parent_map()
+    up = [at.get(q_parent[v]) for v in sequence]  # the parent's position
+    want = [tq.colors[v] for v in sequence]
+    colors, last = t.colors, tq.n - 1
 
     results: list[dict[int, int]] = []
     assigned: list[int] = []
     used: set[int] = set()
+    pending = [iter(roots)]  # candidates per position, up to the next one
     expansions = 0
-
-    def candidates(rank: int) -> Iterator[int]:
-        qv = q_by_rank[rank]
-        color = tq.colors[qv]
-        if rank == 0:
-            pool = sorted(range(t.n), key=lambda v: t_order.phi[v])
+    while pending:
+        k = len(assigned)
+        for v in pending[-1]:
+            if colors[v] == want[k] and v not in used and not (
+                ordered and assigned and rank[v] <= rank[assigned[-1]]
+            ):
+                break
         else:
-            parent_image = assigned[q_order.phi[q_parent[qv]]]
-            pool = sorted(t.children[parent_image], key=lambda v: t_order.phi[v])
-        for v in pool:
-            if t.colors[v] != color or v in used:
-                continue
-            if ordered and assigned and t_order.phi[v] <= t_order.phi[assigned[-1]]:
-                continue
-            yield v
-
-    def extend(rank: int) -> bool:
-        nonlocal expansions
-        if rank == tq.n:
-            results.append(
-                {q_by_rank[r]: assigned[r] for r in range(tq.n)}
-            )
-            return limit is not None and len(results) >= limit
-        for v in candidates(rank):
-            expansions += 1
-            if expansions > node_budget:
-                raise SearchBudgetExceeded(node_budget)
-            assigned.append(v)
-            used.add(v)
-            done = extend(rank + 1)
-            used.discard(v)
-            assigned.pop()
-            if done:
-                return True
-        return False
-
-    try:
-        extend(0)
-    finally:
-        # extend reaches itself through its closure cell; emptying the cell
-        # breaks that cycle, so each search is freed by reference counting.
-        del extend
+            pending.pop()
+            if assigned:
+                used.discard(assigned.pop())
+            continue
+        expansions += 1
+        if expansions > node_budget:
+            raise SearchBudgetExceeded(node_budget)
+        if k == last:
+            results.append(dict(zip(sequence, assigned + [v])))
+            if limit is not None and len(results) >= limit:
+                break
+            continue
+        assigned.append(v)
+        used.add(v)
+        pending.append(iter(pools[assigned[up[k + 1]]]))
     return results
 
 

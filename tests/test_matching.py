@@ -9,12 +9,14 @@ import time
 import pytest
 
 from colored_prufer import (
+    CanonicalOrder,
     Vcpc,
     brute_canonical,
     build_tree,
     code_adjacent,
     codes_isomorphic,
     decode,
+    encode,
     encode_canonical,
     enumerate_embeddings,
     has_embedding,
@@ -22,8 +24,9 @@ from colored_prufer import (
     subtree_search,
     subtree_vertices,
     undirected_subtree,
+    validate_code,
 )
-from colored_prufer.errors import IndexOutOfRange, SentinelCompared
+from colored_prufer.errors import IndexOutOfRange, InvalidCode, SentinelCompared
 from colored_prufer.matching import SubtreeTable, _cover_left
 from colored_prufer.oracle import random_trees
 
@@ -129,6 +132,53 @@ def test_code_adjacent_matches_prune_trace():
                 assert code_adjacent(code, i, j) == ((j, i) in edges)
         kids = SubtreeTable().intern_code(code).kids
         assert {(j, i) for j in range(n) for i in kids[j]} == edges
+
+
+def _random_root_first_order(tree, rng):
+    rest = [v for v in range(tree.n) if v != tree.root]
+    rng.shuffle(rest)
+    inverse = (tree.root, *rest)
+    phi = [0] * tree.n
+    for rank, v in enumerate(inverse):
+        phi[v] = rank
+    return CanonicalOrder(phi=tuple(phi), inverse=inverse)
+
+
+def test_codes_off_preorder_are_rejected_never_misread():
+    # a valid code under a random root-first order: the decider either
+    # rejects it or finds the tree in itself, never a wrong "no"
+    rng = random.Random(4)
+    rejected = found = 0
+    for t in random_trees(9, 300, 2, seed=4):
+        code, _ = encode(t, _random_root_first_order(t, rng))
+        validate_code(code)
+        try:
+            result = subtree_search(_code(t), code)
+        except InvalidCode:
+            rejected += 1
+            continue
+        assert result.witness is not None
+        found += 1
+    assert rejected > 100 and found > 50
+
+
+def test_decider_accepts_exactly_the_preorder_codes():
+    # every valid monochrome code of n <= 7 vertices: the accepted ones are
+    # the plane trees, Catalan(n-1) of them, each read as the tree it encodes
+    catalan = [1, 1, 2, 5, 14, 42, 132]
+    for n in range(1, 8):
+        accepted = 0
+        for head in itertools.product(range(n), repeat=max(n - 2, 0)):
+            code = Vcpc(parents=(*head, 0, None)[-n:], colors=(0,) * n, n=n)
+            validate_code(code)
+            table = SubtreeTable()
+            try:
+                root = table.intern_code(code).ids[-1]
+            except InvalidCode:
+                continue
+            accepted += 1
+            assert root == table.intern_code(_code(decode(code))).ids[-1], code
+        assert accepted == catalan[n - 1]
 
 
 def test_incident_edge_requires_descent():

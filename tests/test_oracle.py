@@ -16,6 +16,7 @@ from colored_prufer import (
     random_corpus,
     random_trees,
 )
+from colored_prufer import oracle
 from colored_prufer.errors import SearchBudgetExceeded
 
 from golden import (
@@ -93,6 +94,33 @@ def test_limit_short_circuits():
     star = build_tree([(0, i) for i in range(1, 10)], {v: 0 for v in range(10)})
     assert len(enumerate_embeddings(star, star, limit=1)) == 1
     assert has_embedding(star, star)
+
+
+def _path(n, last_color=0):
+    colors = {v: 0 for v in range(n)}
+    colors[n - 1] = last_color
+    return build_tree([(v, v + 1) for v in range(n - 1)], colors)
+
+
+def test_long_paths_need_no_recursion():
+    # one assignment per query vertex, far past the interpreter's
+    # recursion limit, on an explicit stack
+    assert has_embedding(_path(1200), _path(1500))
+    assert not has_embedding(_path(1500), _path(1200))
+    # the search reaches the last query vertex before it fails
+    assert not has_embedding(_path(1200, last_color=1), _path(1500))
+
+
+def test_only_the_ordered_search_computes_canonical_orders(monkeypatch):
+    def refuse(tree):
+        raise AssertionError("canonical_order called")
+
+    monkeypatch.setattr(oracle, "canonical_order", refuse)
+    query, host = vcpc_build_tree(), subtree_host_1()
+    assert has_embedding(query, host, ordered=False)
+    assert enumerate_embeddings(query, host, ordered=False)
+    with pytest.raises(AssertionError, match="canonical_order called"):
+        has_embedding(query, host, ordered=True)
 
 
 # --- random corpus -----------------------------------------------------------
