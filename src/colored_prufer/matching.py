@@ -16,14 +16,12 @@ prune step of the smaller code, the prune step of the larger code that
 takes it.  This is the unordered subtree question of Shamir & Tsur
 (J. Algorithms 1999) for colored rooted trees.
 
-Adjacency within a code: the parent of the vertex pruned at step ``a``
-is the vertex pruned at the first later step ``b`` whose own parent
-entry drops below ``parents[a]`` (the terminal sentinel counting as
-smaller than every label).  So step ``b`` is the parent of step ``a``
-exactly when ``parents[b] < parents[a]`` and no step strictly between
-them drops below ``parents[a]``.
+The prune-step tree, which :func:`code_adjacent` also reads: the parent
+of the vertex pruned at step ``a`` is the vertex pruned at the first
+later step whose own parent entry drops below ``parents[a]`` (the
+terminal sentinel counting as smaller than every label).
 
-Both readings hold only for codes whose ranks are a depth-first preorder
+That reading holds only for codes whose ranks are a depth-first preorder
 of their tree, such as every canonical code.  :func:`validate_code
 <colored_prufer.codec.validate_code>` also accepts a tree's code under
 any other rank order that puts the root first, so the interning scan
@@ -73,18 +71,15 @@ def code_adjacent(p: Vcpc, i: int, j: int) -> bool:
     """Whether the vertex pruned at step j is the parent of the one at step i.
 
     Both positions must be non-sentinel: ``i < j < n-1``.  The answer is
-    right for codes ranked in depth-first preorder, as canonical codes
-    are (see the module docstring); it is not checked here.
+    read off the code's interned prune-step tree, so the code must be
+    ranked in depth-first preorder, as canonical codes are;
+    :class:`InvalidCode` is raised for one that is not.
     """
     if j == p.n - 1:
         raise SentinelCompared("position n-1 holds the sentinel, not a parent label")
     if not 0 <= i < j < p.n - 1:
         raise IndexOutOfRange(f"need 0 <= i < j < n-1, got i={i}, j={j}, n={p.n}")
-    pi = p.parents[i]
-    pj = p.parents[j]
-    if pj >= pi:
-        return False
-    return all(p.parents[k] >= pi for k in range(i + 1, j))
+    return i in SubtreeTable().intern_code(p).kids[j]
 
 
 # --- exact decider ----------------------------------------------------------
@@ -380,42 +375,51 @@ class SubtreeTable:
     def sweep(self) -> None:
         """Decide, bottom up, every pair of ids that embeds root on root.
 
-        At id h, the memo sets of h's children give the positions of the
-        children each query id maps onto.  Candidates are the ids of h's
-        color that are leaves or whose children all appear there
-        (FREQT-style occurrence counting, Asai et al., SDM 2002), each
-        decided by one matching over those positions, so the memo then
-        holds exactly the pairs that map, every id in its own row.
+        Candidates for host h are the ids of its color, split by arity.
+        The color's leaf always maps.  A unary id maps exactly when its
+        child maps onto a child of h; hash-consing makes it the only unary
+        id over that child, so one lookup finds it.  At a unary host nothing
+        else can map.  Elsewhere the memo rows of h's children give the
+        positions each query id maps onto, and an id with more children is
+        tried under its largest child (FREQT-style triggers, Asai et al.,
+        SDM 2002).  Two children map when both have positions and cover two
+        between them, so a repeated child needs two; more need a matching.
+        The memo then holds exactly the pairs that map, each id in its own row.
         """
         kids, yes, size = self.kids, self._yes, self.size
-        # per color, each id with children is listed once, under its
-        # largest child; a color has at most one leaf id
-        parents: dict[int, dict[int, list[int]]] = {c: {} for c in self.color}
+        # per color: its leaf, unary ids by child, wider ids by largest child
         leaves: dict[int, int] = {}
-        for p, kid_ids in enumerate(kids):
-            if kid_ids:
-                parents[self.color[p]].setdefault(kid_ids[-1], []).append(p)
+        unary: dict[int, dict[int, int]] = {c: {} for c in self.color}
+        wider: dict[int, dict[int, list[int]]] = {c: {} for c in self.color}
+        for p, (color, kid_ids) in enumerate(zip(self.color, kids)):
+            if len(kid_ids) == 1:
+                unary[color][kid_ids[0]] = p
+            elif kid_ids:
+                wider[color].setdefault(kid_ids[-1], []).append(p)
             else:
-                leaves[self.color[p]] = p
+                leaves[color] = p
         for h, color in enumerate(self.color):
+            up, hk = unary[color], kids[h]
+            leaf = leaves.get(color)
+            mine = yes[h] = set() if leaf is None else {leaf}
+            if len(hk) == 1:
+                mine.update(map(up.__getitem__, up.keys() & yes[hk[0]]))
+                continue
             rows: dict[int, list[int]] = {}
-            for j, y in enumerate(kids[h]):
+            for j, y in enumerate(hk):
                 for x in yes[y]:
                     rows.setdefault(x, []).append(j)
-            mine = yes[h]
-            if mine is _UNSET:
-                mine = yes[h] = set()
-            leaf = leaves.get(color)
-            if leaf is not None:
-                mine.add(leaf)
-            n = len(kids[h])
-            index = parents[color]
-            # the index fixes the color, and a unary candidate whose child
-            # maps onto a child of h always fits
+            mine.update(map(up.__getitem__, up.keys() & rows.keys()))
+            n = len(hk)
+            index = wider[color]
             for x in rows:
                 for q in index.get(x, ()):
                     qk = kids[q]
-                    if len(qk) == 1 or (
+                    if len(qk) == 2:
+                        a = rows.get(qk[0])
+                        if a is not None and (len(a) > 1 or a != rows[x]):
+                            mine.add(q)
+                    elif (
                         len(qk) <= n
                         and size[q] <= size[h]
                         and all(map(rows.__contains__, qk))

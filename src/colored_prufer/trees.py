@@ -88,6 +88,11 @@ def build_tree(
     the root count; the declared root; reachability; then by ascending id a
     missing color and (after ``int`` coerces every color) a negative one.
     """
+    return _build_tree(edges, colors, root, tree_id, coerce=True)
+
+
+def _build_tree(edges, colors, root, tree_id, coerce: bool) -> ColoredArborescence:
+    """:func:`build_tree`; the JSON reader, its colors checked, skips ``coerce``."""
     parent: dict[int, int] = {}
     kids: dict[int, list[int]] = {}
     for p, c in edges:
@@ -133,10 +138,12 @@ def build_tree(
     if len(colors) != n:
         missing = min(vertices.difference(colors))
         raise MissingColor(f"vertex {missing} has no color")
-    color_row = tuple(map(int, map(colors.__getitem__, source_ids)))
-    if min(color_row) < 0:
-        v, col = next(vc for vc in zip(source_ids, color_row) if vc[1] < 0)
-        raise MissingColor(f"vertex {v} has negative color {col}")
+    color_row = tuple(map(colors.__getitem__, source_ids))
+    if coerce:
+        color_row = tuple(map(int, color_row))
+        if min(color_row) < 0:
+            v, col = next(vc for vc in zip(source_ids, color_row) if vc[1] < 0)
+            raise MissingColor(f"vertex {v} has negative color {col}")
 
     # Relabel unless the ids already are 0..n-1, all of type int.
     id_types = {*map(type, source_ids), *map(type, parent), *map(type, kids)}
@@ -250,11 +257,14 @@ def _tree_from_json(obj: dict, line: int, color_table: Mapping[str, int] | None)
             vid = int(key)
         except ValueError:
             raise ParseError(line, f"non-integer vertex id {key!r}") from None
-        if isinstance(value, str):
-            if color_table is None or value not in color_table:
-                raise ParseError(line, f"unknown color name {value!r}")
-            value = color_table[value]
-        if type(value) is not int or value < 0:
+        if type(value) is not int:  # the common case checks just the sign
+            if isinstance(value, str):
+                if color_table is None or value not in color_table:
+                    raise ParseError(line, f"unknown color name {value!r}")
+                value = color_table[value]
+            if type(value) is not int:
+                raise ParseError(line, f"bad color {value!r} for vertex {key}")
+        if value < 0:
             raise ParseError(line, f"bad color {value!r} for vertex {key}")
         colors[vid] = value
     if len(colors) != len(raw_colors):
@@ -302,7 +312,7 @@ def iter_corpus(
     for line_no, obj in iter_json_lines(source):
         edges, colors, root, tree_id = _tree_from_json(obj, line_no, color_table)
         try:
-            tree = build_tree(edges, colors, root=root, tree_id=tree_id or None)
+            tree = _build_tree(edges, colors, root, tree_id or None, coerce=False)
         except Exception as exc:
             raise ValidationError(line_no, exc) from exc
         yield tree

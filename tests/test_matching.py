@@ -146,18 +146,26 @@ def _random_root_first_order(tree, rng):
 
 def test_codes_off_preorder_are_rejected_never_misread():
     # a valid code under a random root-first order: the decider either
-    # rejects it or finds the tree in itself, never a wrong "no"
+    # rejects it or finds the tree in itself, never a wrong "no", and
+    # code_adjacent rejects the same codes and reads the others right
     rng = random.Random(4)
     rejected = found = 0
     for t in random_trees(9, 300, 2, seed=4):
-        code, _ = encode(t, _random_root_first_order(t, rng))
+        code, trace = encode(t, _random_root_first_order(t, rng))
         validate_code(code)
+        step = {v: i for i, v in enumerate(trace.pruned)}
+        edges = {(step[trace.parent_of[i]], i) for i in range(t.n - 1)}
+        pairs = [(i, j) for j in range(t.n - 1) for i in range(j)]
         try:
             result = subtree_search(_code(t), code)
         except InvalidCode:
             rejected += 1
+            for i, j in pairs:
+                with pytest.raises(InvalidCode):
+                    code_adjacent(code, i, j)
             continue
         assert result.witness is not None
+        assert all(code_adjacent(code, i, j) == ((j, i) in edges) for i, j in pairs)
         found += 1
     assert rejected > 100 and found > 50
 
@@ -463,17 +471,22 @@ def test_exact_decider_matches_unordered_oracle_where_ordered_misses():
     assert checked > 8000 and ordered_misses == 10
 
 
-def _repeats(copies, piece_seed, root_color):
-    """A root over ``copies`` equal copies of one small random subtree and
-    one other small subtree, so siblings repeat at the root and below."""
-    piece, other = random_trees(4, 2, 2, seed=piece_seed)
+def _join(root_color, parts):
+    """A root of ``root_color`` over one copy of each tree in ``parts``."""
     edges, colors = [], {0: root_color}
-    for part in [piece] * copies + [other]:
+    for part in parts:
         base = len(colors)
         edges.append((0, base + part.root))
         edges.extend((base + u, base + v) for u in range(part.n) for v in part.children[u])
         colors.update({base + v: c for v, c in enumerate(part.colors)})
     return build_tree(edges, colors)
+
+
+def _repeats(copies, piece_seed, root_color):
+    """A root over ``copies`` equal copies of one small random subtree and
+    one other small subtree, so siblings repeat at the root and below."""
+    piece, other = random_trees(4, 2, 2, seed=piece_seed)
+    return _join(root_color, [piece] * copies + [other])
 
 
 def test_undirected_matches_all_rootings_oracle_on_repeated_siblings():
@@ -597,17 +610,36 @@ def test_edges_rows_and_pending_pairs_on_a_hand_built_table():
 
 
 def test_sweep_memo_is_exact_and_linear_in_the_relation():
-    codes = [_code(t) for t in random_trees(12, 160, 3, seed=57)]
-    table, fresh = SubtreeTable(), SubtreeTable()
-    for code in codes:
-        table.intern_code(code)
-        fresh.intern_code(code)
-    assert fresh.kids == table.kids
-    assert table.sweep() is None
-    ids = range(len(table.kids))
-    pairs = {(q, h) for h in ids for q in ids if fresh.can_map(q, h)}
-    assert {(q, h) for h in ids for q in table._yes[h]} == pairs
-    assert sum(map(len, table._yes)) == len(pairs)
+    pieces = [_colored_path(colors) for colors in ([1], [1, 1], [1, 1, 1], [2], [1, 2])]
+    corpora = [
+        random_trees(12, 160, 3, seed=57),
+        random_trees(10, 120, 1, seed=58),  # one color
+        # repeated children: a two-child query with one child twice
+        [_broom(legs, length) for legs in range(1, 5) for length in range(1, 4)]
+        + [_star(colors) for colors in ([1, 1], [1, 1, 1], [1, 2, 1], [2, 1, 1, 2])]
+        + [_repeats(k, seed, 0) for k in (2, 3) for seed in range(4)],
+        # two query children whose rows may share one host position
+        [
+            _join(0, parts)
+            for k in (2, 3)
+            for parts in itertools.combinations_with_replacement(pieces, k)
+        ],
+        # long unary chains, alone and under a branch
+        [_path(n) for n in (1, 2, 40, 80)]
+        + [_colored_path([k % 3 // 2 for k in range(60)]), _broom(2, 30), _broom(3, 20)],
+    ]
+    for trees in corpora:
+        codes = [_code(t) for t in trees]
+        table, fresh = SubtreeTable(), SubtreeTable()
+        for code in codes:
+            table.intern_code(code)
+            fresh.intern_code(code)
+        assert fresh.kids == table.kids
+        assert table.sweep() is None
+        ids = range(len(table.kids))
+        pairs = {(q, h) for h in ids for q in ids if fresh.can_map(q, h)}
+        assert {(q, h) for h in ids for q in table._yes[h]} == pairs
+        assert sum(map(len, table._yes)) == len(pairs)
 
 
 def test_contained_is_every_id_that_maps_anywhere_in_the_tree():
