@@ -116,6 +116,14 @@ def sorted_siblings(tree: ColoredArborescence):
     return sorted_children, child_colors
 
 
+def is_canonically_labeled(tree: ColoredArborescence) -> bool:
+    """Whether every vertex id is its canonical rank: the ids are the
+    preorder over the stored children, and the stable sibling sort moves
+    no child (tied siblings stay in place)."""
+    preorder = _preorder(tree, tree.children) == list(range(tree.n))
+    return preorder and sorted_siblings(tree)[0] == list(tree.children)
+
+
 def _preorder(tree: ColoredArborescence, sorted_children) -> list[VertexId]:
     """Vertices in canonical order: rank ``r`` at index ``r``."""
     inverse = []

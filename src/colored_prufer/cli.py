@@ -26,7 +26,7 @@ from .trees import (
     iter_json_lines,
     json_line,
     load_color_table,
-    tree_to_json,
+    tree_line,
     write_corpus,
 )
 
@@ -70,7 +70,7 @@ def _read_single_tree(path: str) -> ColoredArborescence:
 
 def cmd_canon(args) -> int:
     for tree in _read_trees(args):
-        _emit([list(inner) for inner in full_ld_array(tree)])
+        _emit(full_ld_array(tree))  # tuples encode as arrays
     return EXIT_OK
 
 
@@ -87,9 +87,7 @@ def cmd_decode(args) -> int:
             tree = decode(Vcpc.from_json(parsed), strict=args.strict)
         except InvalidCode as exc:
             raise InvalidCode(f"line {line_no}: {exc}") from exc
-        obj = tree_to_json(tree)
-        obj["id"] = f"t{position}"
-        _emit(obj)
+        sys.stdout.write(tree_line(tree, f"t{position}"))
     return EXIT_OK
 
 
@@ -179,24 +177,18 @@ def cmd_bench(args) -> int:
     code_relation = poset.relation()
 
     t3 = time.perf_counter()
-    keys = [oracle.brute_canonical(tree) for tree in trees]
-    seen: dict = {}
-    oracle_classes: list[list[int]] = []
-    for position, key in enumerate(keys):
-        if key not in seen:
-            seen[key] = len(oracle_classes)
-            oracle_classes.append([])
-        oracle_classes[seen[key]].append(position)
+    oracle_classes: dict[tuple, list[int]] = {}
+    for position, tree in enumerate(trees):
+        oracle_classes.setdefault(oracle.brute_canonical(tree), []).append(position)
     t4 = time.perf_counter()
 
     rep_tree = {cls.class_id: decode(cls.representative) for cls in classes}
-    sizes = {cls.class_id: cls.representative.n for cls in classes}
     ids = sorted(rep_tree)
     oracle_relation = {(a, a) for a in ids}
     pairs_checked = 0
     for a in ids:
         for b in ids:
-            if sizes[a] < sizes[b]:
+            if rep_tree[a].n < rep_tree[b].n:
                 pairs_checked += 1
                 if oracle.has_embedding(rep_tree[a], rep_tree[b], ordered=False):
                     oracle_relation.add((a, b))
@@ -204,7 +196,7 @@ def cmd_bench(args) -> int:
 
     vcpc_members = sorted(sorted(cls.member_ids) for cls in classes)
     oracle_members = sorted(
-        sorted(trees[i].tree_id or str(i) for i in group) for group in oracle_classes
+        sorted(trees[i].tree_id or str(i) for i in group) for group in oracle_classes.values()
     )
 
     report["vcpc"] = {
@@ -265,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="tree per code")
     _add_input(p)
-    p.add_argument("--strict", action="store_true", help="re-encode and verify")
+    p.add_argument("--strict", action="store_true", help="reject codes that are not canonical")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("iso-classes", help="isomorphism classes of a corpus")

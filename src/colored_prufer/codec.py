@@ -16,6 +16,10 @@ Under other orders, and when decoding, a linear scan needs no heap
 (Caminiti, Finocchi & Petreschi, TCS 2007): a pointer walks the labels
 upward, and a vertex freed below the pointer is the least eligible one,
 so it goes next.
+
+The inverse is a bijection between valid codes and rank-labeled trees,
+so a code is canonical exactly when its decoded tree's labels are the
+canonical ranks, which strict decoding checks without re-encoding.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from typing import Sequence
 
 # canonical_order is part of this module's namespace for perfbench's
 # tracer, which wraps codec.canonical_order
-from .canonical import CanonicalOrder, canonical_order, sorted_siblings  # noqa: F401
+from .canonical import CanonicalOrder, canonical_order  # noqa: F401
+from .canonical import is_canonically_labeled, sorted_siblings
 from .errors import InvalidCode, OrderMismatch, TooSmall
 from .trees import Color, ColoredArborescence, VertexId
 
@@ -191,39 +196,33 @@ def decode(code: Vcpc, strict: bool = False) -> ColoredArborescence:
     Structure comes from the classical inverse run over labels
     ``0..n`` (label n standing in for the auxiliary vertex above the
     root); vertex ``v`` then takes the color recorded at the step where
-    ``v`` was pruned.  ``strict`` re-encodes the result and rejects codes
-    that are well-formed but not the encoding of any tree.  The inverse
-    run is a linear scan (see :func:`prufer_to_edges`).
+    ``v`` was pruned.  The inverse run is a linear scan (see
+    :func:`prufer_to_edges`).  A valid code encodes its decoded tree
+    under the identity order, so it re-encodes to itself exactly when
+    the ids are the preorder and every children tuple is in canonical
+    sibling order (:func:`is_canonically_labeled`); ``strict`` rejects
+    well-formed codes that fail this.
     """
     validate_code(code)
     n = code.n
-    if n == 1:
-        tree = ColoredArborescence(
-            n=1, root=0, children=((),), colors=(code.colors[0],)
-        )
-        return tree
+    sequence = code.parents[:-1]  # validated: no sentinel before the last
+    _, attach_order, _ = prufer_to_edges(sequence, n + 1)
 
-    sequence = [p for p in code.parents[:-1] if p is not None]
-    attach_edges, attach_order, _last_pair = prufer_to_edges(sequence, n + 1)
-
-    colors = [0] * n
+    colors = [code.colors[n - 1]] * n  # the root's; the loop sets all others
     children: list[list[int]] = [[] for _ in range(n)]
     # the inverse never consumes its top label n, the auxiliary vertex
-    for step, leaf in enumerate(attach_order):
-        colors[leaf] = code.colors[step]
-        children[sequence[step]].append(leaf)
-    colors[0] = code.colors[n - 1]
+    for leaf, parent, color in zip(attach_order, sequence, code.colors):
+        colors[leaf] = color
+        children[parent].append(leaf)
+    for kids in children:
+        if len(kids) > 1:
+            kids.sort()
 
     tree = ColoredArborescence(
-        n=n,
-        root=0,
-        children=tuple(tuple(sorted(kids)) for kids in children),
-        colors=tuple(colors),
+        n=n, root=0, children=tuple(map(tuple, children)), colors=tuple(colors)
     )
-    if strict:
-        recoded, _ = encode_canonical(tree)
-        if recoded != code:
-            raise InvalidCode("code does not re-encode to itself")
+    if strict and not is_canonically_labeled(tree):
+        raise InvalidCode("code does not re-encode to itself")
     return tree
 
 

@@ -7,7 +7,6 @@ independent angle; nothing in the production modules calls into it.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 
 from .canonical import canonical_order
@@ -148,23 +147,16 @@ def _random_tree(m: int, c: int, rng: random.Random, tree_id: str | None = None)
     if n == 1:
         return build_tree([], colors, tree_id=tree_id)
     sequence = [rng.randrange(n) for _ in range(n - 2)]
-    attach, _, last = prufer_to_edges(sequence, n)
-    undirected = attach + [last]
-
-    adjacency: dict[int, list[int]] = {v: [] for v in range(n)}
-    for u, v in undirected:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    edges: list[tuple[int, int]] = []
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                edges.append((u, v))
-                queue.append(v)
+    attach, _, (last, top) = prufer_to_edges(sequence, n)
+    # the inverse roots the tree at label n-1; reverse the path from vertex 0
+    parent = {leaf: p for p, leaf in attach}
+    parent[last] = top
+    below, v = None, 0
+    while v is not None:
+        up = parent.get(v)
+        parent[v] = below
+        below, v = v, up
+    edges = [(p, v) for v, p in parent.items() if p is not None]
     return build_tree(edges, colors, tree_id=tree_id)
 
 

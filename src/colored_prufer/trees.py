@@ -201,10 +201,19 @@ def tree_to_json(tree: ColoredArborescence) -> dict:
     }
 
 
+def tree_line(tree: ColoredArborescence, tree_id: str) -> str:
+    """``json_line(tree_to_json(tree))`` with id ``tree_id``, and a newline,
+    formatted directly from the int ids and colors; the id is escaped alike."""
+    edges = ["[%d,%d]" % (u, v) for u, kids in enumerate(tree.children) for v in kids]
+    colors = map('"%d":%d'.__mod__, enumerate(tree.colors))
+    return '{"id":%s,"root":%d,"edges":[%s],"colors":{%s}}\n' % (
+        json_line(tree_id), tree.root, ",".join(edges), ",".join(colors)
+    )
+
+
 def write_corpus(trees: Iterable[ColoredArborescence], fp: IO[str]) -> None:
     for tree in trees:
-        fp.write(json_line(tree_to_json(tree)))
-        fp.write("\n")
+        fp.write(tree_line(tree, tree.tree_id if tree.tree_id is not None else ""))
 
 
 def parse_json(text: str, line: int | None = None) -> object:

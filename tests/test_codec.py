@@ -224,6 +224,55 @@ def test_decode_strict_rejects_noncanonical_code():
         decode(code, strict=True)
 
 
+def _rank_order(inverse):
+    phi = [0] * len(inverse)
+    for rank, v in enumerate(inverse):
+        phi[v] = rank
+    return CanonicalOrder(phi=tuple(phi), inverse=tuple(inverse))
+
+
+def _random_dfs_order(tree, rng):
+    """A depth-first preorder visiting children in random order."""
+    inverse, stack = [], [tree.root]
+    while stack:
+        v = stack.pop()
+        inverse.append(v)
+        kids = list(tree.children[v])
+        rng.shuffle(kids)
+        stack += kids
+    return _rank_order(inverse)
+
+
+def _random_root_first_order(tree, rng):
+    """The root at rank 0, every other vertex at a random rank."""
+    rest = [v for v in range(tree.n) if v != tree.root]
+    rng.shuffle(rest)
+    return _rank_order([tree.root, *rest])
+
+
+def test_decode_strict_accepts_exactly_the_codes_that_re_encode_to_themselves():
+    # Random DFS orders break sibling order, random root-first orders
+    # break the preorder; the re-encode is the reference verdict.
+    rng = random.Random(41)
+    verdicts = Counter()
+    for colors in (1, 2, 3):
+        for t in random_trees(16, 250, colors, seed=40 + colors):
+            codes = [encode_canonical(t)[0]]
+            for make_order in (_random_dfs_order, _random_root_first_order):
+                codes += [encode(t, make_order(t, rng))[0] for _ in range(3)]
+            for code in codes:
+                expected = encode_canonical(decode(code))[0] == code
+                try:
+                    accepted = decode(code, strict=True) == decode(code)
+                except InvalidCode as exc:
+                    assert str(exc) == "code does not re-encode to itself"
+                    accepted = False
+                assert accepted is expected
+                verdicts[expected, code.n > 3] += 1
+    # both verdicts occur, also on codes of more than 3 vertices
+    assert min(verdicts[True, True], verdicts[False, True]) > 500
+
+
 # --- classical sequences --------------------------------------------------------
 
 

@@ -3,6 +3,7 @@
 import io
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +15,7 @@ from colored_prufer import (
     tree_to_json,
     write_corpus,
 )
+from colored_prufer.trees import json_line, tree_line
 from colored_prufer.errors import (
     CycleDetected,
     DisconnectedVertex,
@@ -323,3 +325,19 @@ def test_tree_json_shape():
     t = build_tree([(0, 1)], {0: 0, 1: 1}, tree_id="x")
     obj = tree_to_json(t)
     assert obj == {"id": "x", "root": 0, "edges": [[0, 1]], "colors": {"0": 0, "1": 1}}
+
+
+@pytest.mark.parametrize(
+    "tree_id", ["", "t0", 'say "hi"', "back\\slash\\", "é ☃ 𝄞", "tab\tnew\nline\u0000"]
+)
+def test_tree_line_is_the_json_line_of_the_tree(tree_id):
+    single = build_tree([], {0: 7}, tree_id=tree_id)  # no edges
+    # two-digit vertex ids, and a color past 64 bits
+    wide = build_tree(
+        [(v // 3, v) for v in range(1, 40)],
+        {v: 10**20 if v == 17 else v % 4 for v in range(40)},
+        tree_id=tree_id,
+    )
+    for tree in [single, wide, *random_trees(14, 20, 3, seed=5)]:
+        tree = replace(tree, tree_id=tree_id)
+        assert tree_line(tree, tree_id) == json_line(tree_to_json(tree)) + "\n"
