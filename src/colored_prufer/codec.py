@@ -15,7 +15,10 @@ pruned.  So :func:`encode_canonical` reads the code off that traversal.
 Under other orders, and when decoding, a linear scan needs no heap
 (Caminiti, Finocchi & Petreschi, TCS 2007): a pointer walks the labels
 upward, and a vertex freed below the pointer is the least eligible one,
-so it goes next.
+so it goes next.  There is one scan each way: the upward prune scan
+(``_prune_scan``) serves :func:`encode` and :func:`classical_prufer`,
+and the inverse scan (``_leaf_order``) serves :func:`decode` and
+:func:`prufer_to_edges`.
 
 The inverse is a bijection between valid codes and rank-labeled trees,
 so a code is canonical exactly when its decoded tree's labels are the
@@ -24,7 +27,6 @@ canonical ranks, which strict decoding checks without re-encoding.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,12 +46,15 @@ class Vcpc:
     (``None`` only at index ``n-1``); ``colors[i]`` the pruned vertex's
     color.  ``colors[n-1]`` is therefore the root color, and for n >= 2
     ``parents[n-2] == 0`` because the last pruned non-root vertex is a
-    child of the root.
+    child of the root.  Construction runs :func:`validate_code`; the encoders skip it.
     """
 
     parents: tuple[int | None, ...]
     colors: tuple[Color, ...]
     n: int
+
+    def __post_init__(self) -> None:
+        validate_code(self)
 
     def to_json(self) -> dict:
         return {"parents": list(self.parents), "colors": list(self.colors), "n": self.n}
@@ -64,9 +69,15 @@ class Vcpc:
         n = obj.get("n")
         if type(n) is not int:
             raise InvalidCode(f"bad code object: n must be an integer, got {n!r}")
-        code = cls(parents=tuple(obj["parents"]), colors=tuple(obj["colors"]), n=n)
-        validate_code(code)
-        return code
+        return cls(parents=tuple(obj["parents"]), colors=tuple(obj["colors"]), n=n)
+
+
+def _read_off_tree(parents: tuple, colors: tuple, n: int) -> Vcpc:
+    """The frozen ``__init__`` minus the check: an encoder's code is as valid as its tree."""
+    code = object.__new__(Vcpc)
+    fields = code.__dict__
+    fields["parents"], fields["colors"], fields["n"] = parents, colors, n
+    return code
 
 
 @dataclass(frozen=True)
@@ -84,6 +95,8 @@ class PruneTrace:
 def validate_code(code: Vcpc) -> None:
     """Raise :class:`InvalidCode` unless the code's invariants hold."""
     n = code.n
+    if type(n) is not int:
+        raise InvalidCode(f"n must be an integer, got {n!r}")
     if n < 1 or len(code.parents) != n or len(code.colors) != n:
         raise InvalidCode(f"rows must both have length n={n}")
     if code.parents[-1] is not None:
@@ -108,47 +121,50 @@ def encode(
     ``order`` must be a rank bijection on the tree's vertices; pass the
     tree's canonical order to obtain its canonical code.  A single vertex
     encodes to ``([None], [root color])``.  Linear in n: one upward scan
-    over the ranks.
+    over the ranks.  The code is not checked, so only an order that ranks
+    the root 0 gives a valid one; under any other, ``parents[n-2]`` is the
+    root's rank, and :func:`decode` misreads the code.
     """
     n = tree.n
     phi = order.phi
-    if len(phi) != n or len(order.inverse) != n or sorted(phi) != list(range(n)):
+    integral = all(type(r) is int for r in phi)  # True == 1, yet is no rank
+    if not integral or len(order.inverse) != n or sorted(phi) != list(range(n)):
         raise OrderMismatch("order is not a bijection onto 0..n-1")
     for rank, v in enumerate(order.inverse):
         if phi[v] != rank:
             raise OrderMismatch("order.inverse disagrees with order.phi")
 
     parent = tree.parent_map()
-    left = [len(tree.children[v]) for v in order.inverse]  # unpruned children, by rank
-    parents_row: list[int | None] = []
-    colors_row: list[Color] = []
+    left = [len(tree.children[v]) for v in order.inverse]
+    pruned = _prune_scan(parent, phi, order.inverse, left, n - 1)
+    parent_of = tuple(map(parent.__getitem__, pruned))
+    colors = (*map(tree.colors.__getitem__, pruned), tree.colors[tree.root])
+    code = _read_off_tree((*map(phi.__getitem__, parent_of), None), colors, n)
+    pruned.append(tree.root)
+    return code, PruneTrace(pruned=tuple(pruned), parent_of=parent_of)
+
+
+def _prune_scan(
+    parent: Sequence, rank: Sequence[int], inverse: Sequence, left: list[int], steps: int
+) -> list[VertexId]:
+    """The first ``steps`` vertices pruned least rank first, in order;
+    ``left[r]`` counts the children of the vertex ranked ``r`` (consumed).
+    The root keeps a child until step n-1, so it is never pruned."""
     pruned: list[VertexId] = []
-    parent_of: list[VertexId] = []
-    # The root keeps a child until the last step, so it is never pruned.
-    scan = 0
-    v = None
-    for _ in range(n - 1):
+    scan, v = 0, None
+    for _ in range(steps):
         if v is None:
             while left[scan]:
                 scan += 1
-            v = order.inverse[scan]
+            v = inverse[scan]
             scan += 1
-        u = parent[v]
-        assert u is not None
-        r = phi[u]
-        parents_row.append(r)
-        colors_row.append(tree.colors[v])
         pruned.append(v)
-        parent_of.append(u)
+        u = parent[v]
+        r = rank[u]
         left[r] -= 1
         # A parent freed below the scan is now the least eligible rank.
         v = u if left[r] == 0 and r < scan else None
-
-    parents_row.append(None)
-    colors_row.append(tree.colors[tree.root])
-    pruned.append(tree.root)
-    code = Vcpc(parents=tuple(parents_row), colors=tuple(colors_row), n=n)
-    return code, PruneTrace(pruned=tuple(pruned), parent_of=tuple(parent_of))
+    return pruned
 
 
 def encode_canonical(tree: ColoredArborescence) -> tuple[Vcpc, PruneTrace]:
@@ -182,11 +198,8 @@ def encode_canonical(tree: ColoredArborescence) -> tuple[Vcpc, PruneTrace]:
         pruned.append(v)
         parent_of.append(ancestors[-1])
     parent_of.pop()  # the root's
-    code = Vcpc(
-        parents=(*map(rank.__getitem__, parent_of), None),
-        colors=tuple(map(tree.colors.__getitem__, pruned)),
-        n=tree.n,
-    )
+    colors = tuple(map(tree.colors.__getitem__, pruned))
+    code = _read_off_tree((*map(rank.__getitem__, parent_of), None), colors, tree.n)
     return code, PruneTrace(pruned=tuple(pruned), parent_of=tuple(parent_of))
 
 
@@ -196,22 +209,18 @@ def decode(code: Vcpc, strict: bool = False) -> ColoredArborescence:
     Structure comes from the classical inverse run over labels
     ``0..n`` (label n standing in for the auxiliary vertex above the
     root); vertex ``v`` then takes the color recorded at the step where
-    ``v`` was pruned.  The inverse run is a linear scan (see
-    :func:`prufer_to_edges`).  A valid code encodes its decoded tree
-    under the identity order, so it re-encodes to itself exactly when
-    the ids are the preorder and every children tuple is in canonical
-    sibling order (:func:`is_canonically_labeled`); ``strict`` rejects
-    well-formed codes that fail this.
+    ``v`` was pruned.  A valid code encodes its decoded tree under the
+    identity order, so it re-encodes to itself exactly when the ids are
+    the preorder and every children tuple is in canonical sibling order
+    (:func:`is_canonically_labeled`); ``strict`` rejects the valid codes
+    that fail this.
     """
-    validate_code(code)
     n = code.n
-    sequence = code.parents[:-1]  # validated: no sentinel before the last
-    _, attach_order, _ = prufer_to_edges(sequence, n + 1)
-
+    sequence = code.parents[:-1]  # valid: no sentinel before the last
     colors = [code.colors[n - 1]] * n  # the root's; the loop sets all others
     children: list[list[int]] = [[] for _ in range(n)]
     # the inverse never consumes its top label n, the auxiliary vertex
-    for leaf, parent, color in zip(attach_order, sequence, code.colors):
+    for leaf, parent, color in zip(_leaf_order(sequence, n + 1), sequence, code.colors):
         colors[leaf] = color
         children[parent].append(leaf)
     for kids in children:
@@ -236,30 +245,29 @@ def classical_prufer(
 
     Repeatedly removes the degree-one vertex of minimum label and records
     its neighbor's label, stopping when two vertices remain.  ``labels``
-    defaults to the identity on the stored ids.
+    defaults to the identity on the stored ids.  Label n-1 is never
+    removed, so this is the upward prune scan on the tree hung from it.
     """
     n = tree.n
     if n < 2:
         raise TooSmall("classical sequences need at least 2 vertices")
     if labels is None:
         labels = list(range(n))
-    if sorted(labels) != list(range(n)):
+    if any(type(x) is not int for x in labels) or sorted(labels) != list(range(n)):
         raise OrderMismatch("labels must be a bijection onto 0..n-1")
 
-    adjacency = [set(x) for x in tree.undirected_adjacency()]
-    heap = [labels[v] for v in range(n) if len(adjacency[v]) <= 1]
-    by_label = sorted(range(n), key=lambda v: labels[v])
-    heapq.heapify(heap)
-    out: list[int] = []
-    for _ in range(n - 2):
-        leaf = by_label[heapq.heappop(heap)]
-        neighbor = next(iter(adjacency[leaf]))
-        out.append(labels[neighbor])
-        adjacency[neighbor].discard(leaf)
-        adjacency[leaf].clear()
-        if len(adjacency[neighbor]) == 1:
-            heapq.heappush(heap, labels[neighbor])
-    return out
+    by_label = sorted(range(n), key=labels.__getitem__)
+    parent = list(tree.parent_map())
+    left = [len(tree.children[v]) for v in by_label]
+    # hang the tree from the top label: reverse its path to the root,
+    # which moves one child from the root to the top
+    below, v = None, by_label[n - 1]
+    while v is not None:
+        parent[v], below, v = below, v, parent[v]
+    left[n - 1] += 1
+    left[labels[tree.root]] -= 1
+    pruned = _prune_scan(parent, labels, by_label, left, n - 2)
+    return [labels[parent[v]] for v in pruned]
 
 
 def prufer_to_edges(
@@ -270,25 +278,31 @@ def prufer_to_edges(
     Requires ``len(sequence) == n_labels - 2``.  Returns the attachment
     edges ``(sequence[i], leaf_i)`` in construction order, the consumed
     leaves ``leaf_i`` themselves, and the final edge joining the last two
-    unattached labels (the second is always ``n_labels - 1``).  One
-    upward scan over a count per label; a label whose count drops to
-    zero below the scan is the least leaf, so it is consumed next.
+    unattached labels (the second is always ``n_labels - 1``).
     """
     if len(sequence) != n_labels - 2:
         raise InvalidCode(
             f"sequence of length {len(sequence)} needs exactly {len(sequence) + 2} labels"
         )
-    remaining = [0] * n_labels  # unconsumed occurrences per label
     for x in sequence:
         if type(x) is not int or not 0 <= x < n_labels:
             raise InvalidCode(f"sequence entry {x!r} out of range")
+    *order, last = _leaf_order(sequence, n_labels)
+    return list(zip(sequence, order)), order, (last, n_labels - 1)
+
+
+def _leaf_order(sequence: Sequence[int], n_labels: int) -> list[int]:
+    """The leaves the classical inverse consumes, in order, then the last
+    label left beside the top one.  One upward scan over a count per
+    label; a label whose count drops to zero below the scan is the least
+    leaf, so it is consumed next.  Entries must be labels.
+    """
+    remaining = [0] * n_labels  # unconsumed occurrences per label
+    for x in sequence:
         remaining[x] += 1
-    scan = remaining.index(0)
-    leaf = scan
-    edges: list[tuple[int, int]] = []
+    scan = leaf = remaining.index(0)
     order: list[int] = []
     for a in sequence:
-        edges.append((a, leaf))
         order.append(leaf)
         remaining[a] -= 1
         if remaining[a] == 0 and a < scan:
@@ -298,4 +312,5 @@ def prufer_to_edges(
             while remaining[scan]:
                 scan += 1
             leaf = scan
-    return edges, order, (leaf, n_labels - 1)
+    order.append(leaf)
+    return order

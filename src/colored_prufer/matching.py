@@ -73,7 +73,9 @@ def code_adjacent(p: Vcpc, i: int, j: int) -> bool:
     Both positions must be non-sentinel: ``i < j < n-1``.  The answer is
     read off the code's interned prune-step tree, so the code must be
     ranked in depth-first preorder, as canonical codes are;
-    :class:`InvalidCode` is raised for one that is not.
+    :class:`InvalidCode` is raised for one that is not.  Each call interns
+    the whole code, so it costs O(n); for many questions about one code,
+    read ``SubtreeTable().intern_code(code).kids`` once.
     """
     if j == p.n - 1:
         raise SentinelCompared("position n-1 holds the sentinel, not a parent label")

@@ -60,7 +60,7 @@ def enumerate_embeddings(
     ``ordered`` it must additionally be monotone between the canonical
     order of tq and t's canonical order restricted to the image.  Raises
     :class:`SearchBudgetExceeded` past ``node_budget`` expansions;
-    ``limit`` stops early after that many embeddings.
+    ``limit`` stops early after that many embeddings (none below 1).
 
     Query vertices are assigned parents first, in one loop over a stack
     that holds an iterator of candidate images per assigned vertex and
@@ -69,7 +69,7 @@ def enumerate_embeddings(
     ordered one takes tq in canonical order and tries hosts in t's,
     skipping each one ranked before the last image.
     """
-    if tq.n > t.n:
+    if tq.n > t.n or (limit is not None and limit < 1):
         return []
     if ordered:
         sequence = canonical_order(tq).inverse

@@ -121,6 +121,22 @@ def test_encode_two_color_keys_for_one_vertex_exit_2(cli):
     assert err == "error: line 2: vertex 1 has two color keys '1' and ' 1'\n"
 
 
+def test_decode_strict_checks_each_code_once(cli, monkeypatch):
+    from colored_prufer import codec
+
+    _, encoded, _ = cli(["encode"], corpus_text([vcpc_build_tree(), subtree_host_1()] * 3))
+    calls, check = [], codec.validate_code
+
+    def counted(code):
+        calls.append(code)
+        check(code)
+
+    monkeypatch.setattr(codec, "validate_code", counted)
+    code, out, _ = cli(["decode", "--strict"], encoded)
+    assert code == 0 and out.count("\n") == 6
+    assert len(calls) == 6
+
+
 def test_decode_strict_non_canonical_second_line_names_its_line(cli):
     canonical = json.dumps({"parents": [0, 0, None], "colors": [1, 2, 0], "n": 3})
     swapped = json.dumps({"parents": [0, 0, None], "colors": [2, 1, 0], "n": 3})

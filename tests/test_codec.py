@@ -97,6 +97,9 @@ def test_encode_rejects_bad_order():
     good = canonical_order(t)
     with pytest.raises(OrderMismatch):
         encode(t, CanonicalOrder(phi=good.phi, inverse=tuple(reversed(good.inverse))))
+    path = build_tree([(0, 1), (1, 2)], {v: 0 for v in range(3)})
+    with pytest.raises(OrderMismatch):  # True == 1, but booleans are not ranks
+        encode(path, CanonicalOrder(phi=(0, True, 2), inverse=(0, 1, 2)))
 
 
 def test_vcpc_invariants_on_random_trees():
@@ -204,6 +207,33 @@ def test_decode_rejects_invalid_codes():
         decode(Vcpc(parents=(0, 0), colors=(0, 0), n=2))  # no sentinel
 
 
+@pytest.mark.parametrize(
+    "parents, colors, n",
+    [
+        ((5, None), (0, 0), 2),
+        ((None, 0, None), (0, 0, 0), 3),
+        ((0, None), (0, 0), 5),
+        ((0, None), (-1, "x"), 2),
+        ((0, None), (0, 0), 2.0),
+        ((0, None), (0, 0), "2"),
+    ],
+    ids=["out-of-range", "interior-sentinel", "row-lengths", "bad-colors", "float-n", "str-n"],
+)
+def test_invalid_code_raises_at_construction(parents, colors, n):
+    with pytest.raises(InvalidCode):
+        Vcpc(parents=parents, colors=colors, n=n)
+
+
+def test_replace_checks_the_code_too():
+    from dataclasses import replace
+
+    code = Vcpc(parents=(0, None), colors=(0, 0), n=2)
+    with pytest.raises(InvalidCode):
+        replace(code, n=3)
+    with pytest.raises(InvalidCode):
+        replace(code, colors=(0, True))
+
+
 def test_code_rejects_json_booleans_as_integers():
     assert Vcpc.from_json({"parents": [0, None], "colors": [1, 0], "n": 2}).n == 2
     with pytest.raises(InvalidCode):
@@ -306,6 +336,8 @@ def test_classical_relabeling_argument():
     path = build_tree([(0, 1), (1, 2)], {v: 0 for v in range(3)})
     assert classical_prufer(path, labels=[2, 1, 0]) == [1]
     assert classical_prufer(path, labels=[1, 0, 2]) == [0]
+    with pytest.raises(OrderMismatch):
+        classical_prufer(path, labels=[True, 0, 2])  # booleans are not labels
 
 
 def test_parents_row_equals_classical_of_root_augmented_tree():
@@ -362,6 +394,23 @@ def _heap_encode(tree, order):
     return parents + [None], pruned + [tree.root]
 
 
+def _heap_classical(tree, labels):
+    """The classical sequence by popping the least-labeled leaf."""
+    adjacency = [set(x) for x in tree.undirected_adjacency()]
+    by_label = {labels[v]: v for v in range(tree.n)}
+    heap = [labels[v] for v in range(tree.n) if len(adjacency[v]) == 1]
+    heapq.heapify(heap)
+    out = []
+    for _ in range(tree.n - 2):
+        leaf = by_label[heapq.heappop(heap)]
+        (neighbor,) = adjacency[leaf]
+        out.append(labels[neighbor])
+        adjacency[neighbor].discard(leaf)
+        if len(adjacency[neighbor]) == 1:
+            heapq.heappush(heap, labels[neighbor])
+    return out
+
+
 def _heap_prufer_to_edges(sequence, n_labels):
     remaining = Counter(sequence)
     heap = [x for x in range(n_labels) if not remaining[x]]
@@ -389,6 +438,17 @@ def test_linear_encode_matches_heap_reference_under_random_orders():
         assert list(code.parents) == parents
         assert list(trace.pruned) == pruned
         assert list(code.colors) == [t.colors[v] for v in pruned]
+
+
+def test_classical_matches_heap_reference_under_random_labels():
+    rng = random.Random(34)
+    for t in random_trees(14, 200, 1, seed=35):
+        if t.n < 2:
+            continue
+        labels = list(range(t.n))
+        rng.shuffle(labels)
+        assert classical_prufer(t, labels) == _heap_classical(t, labels)
+        assert classical_prufer(t) == _heap_classical(t, range(t.n))
 
 
 def test_prufer_to_edges_matches_heap_reference():

@@ -96,6 +96,13 @@ def test_limit_short_circuits():
     assert has_embedding(star, star)
 
 
+def test_limit_below_one_returns_no_embedding_without_searching():
+    star = build_tree([(0, i) for i in range(1, 10)], {v: 0 for v in range(10)})
+    for limit in (0, -1):
+        # a zero budget raises on the first expansion, so none is made
+        assert enumerate_embeddings(star, star, node_budget=0, limit=limit) == []
+
+
 def _path(n, last_color=0):
     colors = {v: 0 for v in range(n)}
     colors[n - 1] = last_color
