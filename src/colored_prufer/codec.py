@@ -46,7 +46,7 @@ class Vcpc:
     (``None`` only at index ``n-1``); ``colors[i]`` the pruned vertex's
     color.  ``colors[n-1]`` is therefore the root color, and for n >= 2
     ``parents[n-2] == 0`` because the last pruned non-root vertex is a
-    child of the root.  Construction runs :func:`validate_code`; the encoders skip it.
+    child of the root.  Construction runs :func:`validate_code`.
     """
 
     parents: tuple[int | None, ...]
@@ -70,14 +70,6 @@ class Vcpc:
         if type(n) is not int:
             raise InvalidCode(f"bad code object: n must be an integer, got {n!r}")
         return cls(parents=tuple(obj["parents"]), colors=tuple(obj["colors"]), n=n)
-
-
-def _read_off_tree(parents: tuple, colors: tuple, n: int) -> Vcpc:
-    """The frozen ``__init__`` minus the check: an encoder's code is as valid as its tree."""
-    code = object.__new__(Vcpc)
-    fields = code.__dict__
-    fields["parents"], fields["colors"], fields["n"] = parents, colors, n
-    return code
 
 
 @dataclass(frozen=True)
@@ -118,12 +110,10 @@ def encode(
 ) -> tuple[Vcpc, PruneTrace]:
     """Prune minimum-rank eligible vertices, recording (parent rank, color).
 
-    ``order`` must be a rank bijection on the tree's vertices; pass the
-    tree's canonical order to obtain its canonical code.  A single vertex
-    encodes to ``([None], [root color])``.  Linear in n: one upward scan
-    over the ranks.  The code is not checked, so only an order that ranks
-    the root 0 gives a valid one; under any other, ``parents[n-2]`` is the
-    root's rank, and :func:`decode` misreads the code.
+    ``order`` must be a rank bijection on the tree's vertices that ranks
+    the root 0; pass the tree's canonical order to obtain its canonical
+    code.  A single vertex encodes to ``([None], [root color])``.  Linear
+    in n: one upward scan over the ranks.
     """
     n = tree.n
     phi = order.phi
@@ -133,13 +123,15 @@ def encode(
     for rank, v in enumerate(order.inverse):
         if phi[v] != rank:
             raise OrderMismatch("order.inverse disagrees with order.phi")
+    if phi[tree.root] != 0:  # else parents[n-2] is the root's rank
+        raise OrderMismatch("order must rank the root 0")
 
     parent = tree.parent_map()
     left = [len(tree.children[v]) for v in order.inverse]
     pruned = _prune_scan(parent, phi, order.inverse, left, n - 1)
     parent_of = tuple(map(parent.__getitem__, pruned))
     colors = (*map(tree.colors.__getitem__, pruned), tree.colors[tree.root])
-    code = _read_off_tree((*map(phi.__getitem__, parent_of), None), colors, n)
+    code = Vcpc((*map(phi.__getitem__, parent_of), None), colors, n)
     pruned.append(tree.root)
     return code, PruneTrace(pruned=tuple(pruned), parent_of=parent_of)
 
@@ -199,7 +191,7 @@ def encode_canonical(tree: ColoredArborescence) -> tuple[Vcpc, PruneTrace]:
         parent_of.append(ancestors[-1])
     parent_of.pop()  # the root's
     colors = tuple(map(tree.colors.__getitem__, pruned))
-    code = _read_off_tree((*map(rank.__getitem__, parent_of), None), colors, tree.n)
+    code = Vcpc((*map(rank.__getitem__, parent_of), None), colors, tree.n)
     return code, PruneTrace(pruned=tuple(pruned), parent_of=tuple(parent_of))
 
 

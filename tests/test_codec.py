@@ -26,6 +26,7 @@ from colored_prufer import (
     prufer_to_edges,
     validate_code,
 )
+from colored_prufer.codec import _prune_scan
 from colored_prufer.errors import InvalidCode, OrderMismatch, TooSmall
 from colored_prufer.oracle import random_trees
 
@@ -100,6 +101,9 @@ def test_encode_rejects_bad_order():
     path = build_tree([(0, 1), (1, 2)], {v: 0 for v in range(3)})
     with pytest.raises(OrderMismatch):  # True == 1, but booleans are not ranks
         encode(path, CanonicalOrder(phi=(0, True, 2), inverse=(0, 1, 2)))
+    # parents would be (0, 1, None), ending in the root's rank 1, not 0
+    with pytest.raises(OrderMismatch, match="order must rank the root 0"):
+        encode(path, CanonicalOrder(phi=(1, 0, 2), inverse=(1, 0, 2)))
 
 
 def test_vcpc_invariants_on_random_trees():
@@ -425,14 +429,21 @@ def _heap_prufer_to_edges(sequence, n_labels):
 
 
 def test_linear_encode_matches_heap_reference_under_random_orders():
+    # the prune scan under any rank bijection; encode under those that
+    # rank the root 0, the only ones it accepts
     rng = random.Random(31)
     for t in random_trees(14, 150, 3, seed=32):
         inverse = list(range(t.n))
         rng.shuffle(inverse)  # a rank bijection, mostly not a preorder
-        phi = [0] * t.n
-        for rank, v in enumerate(inverse):
-            phi[v] = rank
-        order = CanonicalOrder(phi=tuple(phi), inverse=tuple(inverse))
+        order = _rank_order(inverse)
+        parent = t.parent_map()
+        left = [len(t.children[v]) for v in order.inverse]
+        pruned = _prune_scan(parent, order.phi, order.inverse, left, t.n - 1)
+        parents, heap_pruned = _heap_encode(t, order)
+        assert [order.phi[parent[v]] for v in pruned] + [None] == parents
+        assert pruned + [t.root] == heap_pruned
+
+        order = _random_root_first_order(t, rng)
         code, trace = encode(t, order)
         parents, pruned = _heap_encode(t, order)
         assert list(code.parents) == parents
