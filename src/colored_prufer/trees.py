@@ -27,8 +27,10 @@ Color = int
 VertexId = int
 
 # Compact JSON text of one object, as ``json.dumps(obj, separators=(",", ":"))``
-# gives it, from one encoder built once rather than one per call.
-json_line = json.JSONEncoder(separators=(",", ":")).encode
+# gives it, from one encoder built once rather than one per call.  Every
+# object it encodes is built by this package and has no reference cycle,
+# so the encoder skips the cycle check.
+json_line = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 @dataclass(frozen=True)
@@ -294,6 +296,71 @@ def _tree_from_json(obj: dict, line: int, color_table: Mapping[str, int] | None)
     return edges, colors, root, tree_id
 
 
+def _dense_tree(obj: object) -> ColoredArborescence | None:
+    """The tree of a corpus object whose ids are exactly ``0..n-1``, built
+    in one pass over list-indexed arrays; ``None`` for any other object or
+    any fault, which the general route then reads and names."""
+    if type(obj) is not dict:
+        return None
+    raw_colors = obj.get("colors")
+    raw_edges = obj.get("edges")
+    root = obj.get("root")
+    tree_id = obj.get("id")
+    if (
+        type(raw_colors) is not dict
+        or type(raw_edges) is not list
+        or not (root is None or type(root) is int)
+        or not (tree_id is None or type(tree_id) is str)
+    ):
+        return None
+    n = len(raw_colors)
+    if n == 0 or len(raw_edges) != n - 1:
+        return None
+    try:
+        ids = list(map(int, raw_colors))
+    except ValueError:
+        return None
+    color_row = list(raw_colors.values())
+    if ids != list(range(n)):  # color keys in another order, or other ids
+        by_id = dict(zip(ids, color_row))
+        if len(by_id) != n or min(by_id) != 0 or max(by_id) != n - 1:
+            return None
+        color_row = list(map(by_id.__getitem__, range(n)))
+    if set(map(type, color_row)) != {int} or min(color_row) < 0:
+        return None
+
+    parent = [-1] * n
+    kids: list[list[int]] = [[] for _ in range(n)]
+    for e in raw_edges:
+        if type(e) is not list or len(e) != 2:
+            return None
+        p, c = e
+        if (
+            type(p) is not int
+            or type(c) is not int
+            or not 0 <= p < n
+            or not 0 <= c < n
+            or parent[c] >= 0
+        ):
+            return None
+        parent[c] = p
+        kids[p].append(c)
+    # n - 1 edges into distinct vertices leave exactly one without a parent
+    inferred_root = parent.index(-1)
+    if root is not None and root != inferred_root:
+        return None
+    # a vertex on a cycle, a self-loop included, is never reached
+    reached = [inferred_root]
+    for v in reached:
+        reached += kids[v]
+    if len(reached) != n:
+        return None
+    children = tuple([tuple(cs) if len(cs) < 2 else tuple(sorted(cs)) for cs in kids])
+    return ColoredArborescence(
+        n, inferred_root, children, tuple(color_row), tree_id or None, tuple(range(n))
+    )
+
+
 def iter_json_lines(
     source: IO[str] | IO[bytes] | Iterable[str] | Iterable[bytes],
 ) -> Iterator[tuple[int, object]]:
@@ -316,14 +383,18 @@ def iter_corpus(
     Raises :class:`ParseError` for malformed lines and
     :class:`ValidationError` (carrying the structural cause) for lines
     that parse but do not describe an arborescence.  Line numbers are
-    1-based.
+    1-based.  A line whose ids are exactly ``0..n-1`` is read in one array
+    pass; any other line, or one with a fault, goes through
+    :func:`_tree_from_json` and :func:`_build_tree`, which name the fault.
     """
     for line_no, obj in iter_json_lines(source):
-        edges, colors, root, tree_id = _tree_from_json(obj, line_no, color_table)
-        try:
-            tree = _build_tree(edges, colors, root, tree_id or None, coerce=False)
-        except Exception as exc:
-            raise ValidationError(line_no, exc) from exc
+        tree = _dense_tree(obj) if color_table is None else None
+        if tree is None:
+            edges, colors, root, tree_id = _tree_from_json(obj, line_no, color_table)
+            try:
+                tree = _build_tree(edges, colors, root, tree_id or None, coerce=False)
+            except Exception as exc:
+                raise ValidationError(line_no, exc) from exc
         yield tree
 
 

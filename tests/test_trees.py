@@ -17,6 +17,7 @@ from colored_prufer import (
 )
 from colored_prufer.trees import json_line, tree_line
 from colored_prufer.errors import (
+    ColoredPruferError,
     CycleDetected,
     DisconnectedVertex,
     DuplicateEdge,
@@ -341,3 +342,171 @@ def test_tree_line_is_the_json_line_of_the_tree(tree_id):
     for tree in [single, wide, *random_trees(14, 20, 3, seed=5)]:
         tree = replace(tree, tree_id=tree_id)
         assert tree_line(tree, tree_id) == json_line(tree_to_json(tree)) + "\n"
+
+
+# --- the array route of the corpus reader ----------------------------------
+
+
+def _line_variants(tree, rng):
+    """Corpus objects of one tree, each with the ``build_tree`` arguments
+    that describe it: ids permuted within 0..n-1, color keys shuffled, ids
+    shifted by 1000, edges shuffled, and no ``root`` or no ``id`` (an empty
+    ``id`` is read as none)."""
+    perm = list(range(tree.n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u in range(tree.n) for v in tree.children[u]]
+    colors = {perm[v]: c for v, c in enumerate(tree.colors)}
+    root = perm[tree.root]
+    for shift in (0, 1000):
+        for shuffle_keys, shuffle_edges, keys in [
+            (False, False, ("id", "root")),
+            (True, False, ("id", "root")),
+            (False, True, ("id",)),
+            (True, True, ("root",)),
+            (False, False, ("blank-id",)),
+        ]:
+            es = [(u + shift, v + shift) for u, v in edges]
+            if shuffle_edges:
+                rng.shuffle(es)
+            vs = sorted(colors)
+            if shuffle_keys:
+                rng.shuffle(vs)
+            obj = {"edges": [list(e) for e in es], "colors": {str(v + shift): colors[v] for v in vs}}
+            args = {"edges": es, "colors": {v + shift: colors[v] for v in vs}}
+            if "root" in keys:
+                obj["root"] = args["root"] = root + shift
+            if "id" in keys:
+                obj["id"] = args["tree_id"] = tree.tree_id
+            if "blank-id" in keys:
+                obj["id"] = ""
+            yield obj, args
+
+
+def _fields(tree):
+    return (tree.n, tree.root, tree.children, tree.colors, tree.tree_id, tree.source_ids)
+
+
+def test_iter_corpus_matches_build_tree_on_random_corpora():
+    rng = random.Random(19)
+    single = build_tree([], {0: 3}, tree_id="single")
+    for trees in (random_trees(14, 60, 3, seed=8), random_trees(40, 15, 2, seed=9), [single]):
+        objs, expected = [], []
+        for tree in trees:
+            for obj, args in _line_variants(tree, rng):
+                objs.append(obj)
+                expected.append(build_tree(**args))
+        text = "".join(json.dumps(obj) + "\n" for obj in objs)
+        assert [_fields(t) for t in parse_corpus(io.StringIO(text))] == [
+            _fields(t) for t in expected
+        ]
+
+
+def test_iter_corpus_reads_dense_ids_without_the_general_builder(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the general builder ran")
+
+    trees = random_trees(12, 30, 3, seed=6)
+    buffer = io.StringIO()
+    write_corpus(trees, buffer)
+    dense = buffer.getvalue()
+    monkeypatch.setattr("colored_prufer.trees._build_tree", fail)
+    assert [_fields(t) for t in parse_corpus(io.StringIO(dense))] == [
+        _fields(t) for t in trees
+    ]
+    # shifted ids take the general route, which this test has disabled
+    shifted = json.dumps({"edges": [[1, 2]], "colors": {"1": 0, "2": 0}})
+    with pytest.raises(ValidationError) as err:
+        parse_corpus(io.StringIO(shifted))
+    assert isinstance(err.value.cause, AssertionError)
+
+
+_C3 = {"0": 0, "1": 1, "2": 2}
+_C4 = {"0": 0, "1": 1, "2": 2, "3": 3}
+
+
+@pytest.mark.parametrize(
+    "obj, error, cause, message",
+    [
+        ({"edges": [[0, True]], "colors": {"0": 0, "1": 0}},
+         ParseError, None, "bad edge entry [0, True]"),
+        ({"edges": [[0, 1]], "colors": {"0": 0, "1": False}},
+         ParseError, None, "bad color False for vertex 1"),
+        ({"root": True, "edges": [[0, 1]], "colors": {"0": 0, "1": 0}},
+         ParseError, None, '"root" must be an integer'),
+        ({"edges": [[0, 1], [0, 3]], "colors": _C3},
+         ValidationError, DisconnectedVertex, "vertex 2 has no incident edges"),
+        ({"edges": [[0, 1], [1, 2], [2, 3]], "colors": _C3},
+         ValidationError, MissingColor, "vertex 3 has no color"),
+        ({"edges": [[0, 1], [3, 2]], "colors": _C3},
+         ValidationError, MultipleRoots, "vertices [0, 3] all have in-degree 0"),
+        ({"edges": [[0, 1], [-2, 2]], "colors": _C3},
+         ValidationError, MultipleRoots, "vertices [-2, 0] all have in-degree 0"),
+        ({"edges": [[0, 1], [1, -1]], "colors": _C3},
+         ValidationError, DisconnectedVertex, "vertex 2 has no incident edges"),
+        ({"edges": [[0, 1], [1, 2], [2, 0]], "colors": _C3},
+         ValidationError, CycleDetected,
+         "no vertex has in-degree 0; the edges contain a cycle"),
+        ({"edges": [[0, 1], [0, 2], [1, 2]], "colors": _C3},
+         ValidationError, DuplicateEdge, "vertex 2 has two in-edges (0, 2) and (1, 2)"),
+        ({"edges": [[0, 1], [2, 2]], "colors": _C3},
+         ValidationError, CycleDetected, "self-loop on vertex 2"),
+        ({"edges": [[0, 1], [0, 2], [0, 1]], "colors": _C3},
+         ValidationError, DuplicateEdge, "edge (0, 1) appears twice"),
+        ({"edges": [[0, 1], [0, 1]], "colors": _C3},
+         ValidationError, DuplicateEdge, "edge (0, 1) appears twice"),
+        ({"edges": [[0, 2], [1, 2]], "colors": _C3},
+         ValidationError, DuplicateEdge, "vertex 2 has two in-edges (0, 2) and (1, 2)"),
+        ({"edges": [[1, 2], [0, 2]], "colors": _C3},
+         ValidationError, DuplicateEdge, "vertex 2 has two in-edges (1, 2) and (0, 2)"),
+        ({"edges": [[0, 1], [0, 2], [1, 2]], "colors": _C4},
+         ValidationError, DuplicateEdge, "vertex 2 has two in-edges (0, 2) and (1, 2)"),
+        ({"edges": [[0, 1], [2, 3]], "colors": _C4},
+         ValidationError, MultipleRoots, "vertices [0, 2] all have in-degree 0"),
+        ({"edges": [[0, 1], [2, 3], [3, 2]], "colors": _C4},
+         ValidationError, CycleDetected, "vertex 2 is not reachable from the root"),
+        ({"root": 1, "edges": [[0, 1], [0, 2]], "colors": _C3},
+         ValidationError, MultipleRoots, "declared root 1 differs from inferred root 0"),
+        ({"edges": [[0, 1]], "colors": {"0": 1, "1": 2, " 1": 3}},
+         ParseError, None, "vertex 1 has two color keys '1' and ' 1'"),
+        ({"edges": [[0, 1]], "colors": {"0": 1, "01": 2, "1": 3}},
+         ParseError, None, "vertex 1 has two color keys '01' and '1'"),
+        ({"edges": [[0, 1]], "colors": {"0": 0, "1": -1}},
+         ParseError, None, "bad color -1 for vertex 1"),
+        ({"edges": [[0, 1]]}, ParseError, None, 'missing "colors" key'),
+        ({}, ParseError, None, 'missing "colors" key'),
+    ],
+    ids=[
+        "bool-edge",
+        "bool-color",
+        "bool-root",
+        "endpoint-out-of-range",
+        "endpoint-without-color",
+        "parent-out-of-range",
+        "negative-parent",
+        "negative-child",
+        "edge-too-many-cycle",
+        "edge-too-many-second-parent",
+        "self-loop",
+        "edge-twice",
+        "edge-twice-within-count",
+        "second-parent",
+        "second-parent-reversed",
+        "second-parent-within-count",
+        "two-roots",
+        "unreachable-cycle",
+        "declared-root",
+        "space-key",
+        "leading-zero-key",
+        "negative-color",
+        "missing-colors",
+        "empty-object",
+    ],
+)
+def test_iter_corpus_fault_table(obj, error, cause, message):
+    good = json.dumps({"id": "ok", "edges": [[0, 1]], "colors": {"0": 0, "1": 1}})
+    with pytest.raises(ColoredPruferError) as err:
+        parse_corpus(io.StringIO(f"{good}\n{json.dumps(obj)}\n"))
+    assert type(err.value) is error
+    assert err.value.line == 2
+    assert type(getattr(err.value, "cause", None)) is (cause or type(None))
+    assert str(err.value) == f"line 2: {message}"
