@@ -299,7 +299,12 @@ def _tree_from_json(obj: dict, line: int, color_table: Mapping[str, int] | None)
 def _dense_tree(obj: object) -> ColoredArborescence | None:
     """The tree of a corpus object whose ids are exactly ``0..n-1``, built
     in one pass over list-indexed arrays; ``None`` for any other object or
-    any fault, which the general route then reads and names."""
+    any fault, which the general route then reads and names.
+
+    Every structural rule of :func:`_build_tree` is repeated here: a rule
+    changed there must change here too.  The differential test
+    ``test_iter_corpus_matches_build_tree_on_random_corpora`` and
+    ``test_iter_corpus_fault_table`` keep the two routes in step."""
     if type(obj) is not dict:
         return None
     raw_colors = obj.get("colors")
@@ -315,6 +320,10 @@ def _dense_tree(obj: object) -> ColoredArborescence | None:
         return None
     n = len(raw_colors)
     if n == 0 or len(raw_edges) != n - 1:
+        return None
+    # shifted or sparse ids leave before the pass over the keys; so does
+    # a line that spells the key of 0 or n-1 as, say, " 0" or "00"
+    if "0" not in raw_colors or str(n - 1) not in raw_colors:
         return None
     try:
         ids = list(map(int, raw_colors))
