@@ -1,10 +1,10 @@
 """Colored arborescences and the JSONL corpus format.
 
 A tree is stored with vertex ids normalized to ``0..n-1`` (sorted order of
-the original ids), the root first in no particular sense, and per-vertex
-children tuples sorted ascending.  Children order carries no semantics;
-every meaningful order comes from canonicalization.  Instances are frozen
-and hashable, so they can serve as cache keys.
+the original ids, so the root keeps the id of its sorted position) and
+per-vertex children tuples sorted ascending.  Children order carries no
+semantics; every meaningful order comes from canonicalization.  Instances
+are frozen and hashable, so they can serve as cache keys.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import (
     MissingColor,
     MultipleRoots,
     ParseError,
+    TreeStructureError,
     ValidationError,
 )
 
@@ -81,64 +82,36 @@ def build_tree(
 ) -> ColoredArborescence:
     """Validate an edge list and colors, normalizing ids to ``0..n-1``.
 
-    The root is inferred as the unique vertex of in-degree zero; passing
-    ``root`` additionally asserts the inference.  Raises a
-    :class:`TreeStructureError` subclass naming the offending vertex or
-    edge when the input is not a colored arborescence.  Of several faults
-    the first in this order is reported: per edge in list order a self-loop,
-    then a repeated edge or second parent; no vertices; an isolated vertex;
-    the root count; the declared root; reachability; then by ascending id a
-    missing color and (after ``int`` coerces every color) a negative one.
+    Ids that are the ints ``0..n-1`` are kept as they are; any other ids,
+    shifted or sparse ints, floats or bools, are relabeled in sorted order,
+    and ``source_ids`` keeps the originals.  The root is inferred as the
+    unique vertex of in-degree zero; passing ``root`` additionally asserts
+    the inference.  Raises a :class:`TreeStructureError` subclass naming
+    the offending vertex or edge when the input is not a colored
+    arborescence.  Of several faults the first in this order is reported:
+    per edge in list order a self-loop, then a repeated edge or second
+    parent; no vertices; an isolated vertex; the root count; the declared
+    root; reachability; then by ascending id a missing color and (after
+    ``int`` coerces every color) a negative one.
     """
-    return _build_tree(edges, colors, root, tree_id, coerce=True)
+    return _build_tree(list(edges), colors, root, tree_id, coerce=True)
 
 
 def _build_tree(edges, colors, root, tree_id, coerce: bool) -> ColoredArborescence:
     """:func:`build_tree`; the JSON reader, its colors checked, skips ``coerce``."""
-    parent: dict[int, int] = {}
-    kids: dict[int, list[int]] = {}
-    for p, c in edges:
-        if p == c:
-            raise CycleDetected(f"self-loop on vertex {p}")
-        if c in parent:
-            q = parent[c]
-            if q == p:
-                raise DuplicateEdge(f"edge ({p}, {c}) appears twice")
-            # name c as the first edge spelled it (1 and 1.0 are one key)
-            first = (q, next(k for k in parent if k is c or k == c))
-            raise DuplicateEdge(f"vertex {c} has two in-edges {first} and {(p, c)}")
-        parent[c] = p
-        kids.setdefault(p, []).append(c)
-
-    vertices = {*colors, *parent, *kids}
-    if not vertices:
-        raise DisconnectedVertex("empty tree: no vertices supplied")
-    roots = sorted(vertices.difference(parent))
-    isolated = [v for v in roots if v not in kids]
-    if edges and isolated:
-        raise DisconnectedVertex(f"vertex {isolated[0]} has no incident edges")
-    if len(roots) > 1:
-        raise MultipleRoots(f"vertices {roots} all have in-degree 0")
-    if not roots:
-        raise CycleDetected("no vertex has in-degree 0; the edges contain a cycle")
-    inferred_root = roots[0]
-    if root is not None and root != inferred_root:
-        raise MultipleRoots(
-            f"declared root {root} differs from inferred root {inferred_root}"
-        )
-
-    # With one parent per vertex, only a cycle can hide a vertex from the root.
-    reached = [inferred_root]
-    for v in reached:
-        reached.extend(kids.get(v, ()))
-    if len(reached) != len(vertices):
-        missing = min(vertices.difference(reached))
-        raise CycleDetected(f"vertex {missing} is not reachable from the root")
-
-    source_ids = tuple(sorted(vertices))
-    n = len(source_ids)
-    if len(colors) != n:
-        missing = min(vertices.difference(colors))
+    n = len(colors)
+    source_ids = range(n)
+    found = None
+    # ids that are the ints 0..n-1 index the scan's arrays as they are
+    if n and min(colors) == 0 and max(colors) == n - 1 and set(map(type, colors)) == {int}:
+        found = _scan(edges, source_ids, root)
+    if found is None:  # other ids, or an edge the scan could not place
+        source_ids, relabeled = _relabel(edges, colors)
+        found = _scan(relabeled, source_ids, root)
+        if found is None:
+            raise _edge_fault(edges)
+    if len(colors) != len(source_ids):
+        missing = next(v for v in source_ids if v not in colors)
         raise MissingColor(f"vertex {missing} has no color")
     color_row = tuple(map(colors.__getitem__, source_ids))
     if coerce:
@@ -146,24 +119,95 @@ def _build_tree(edges, colors, root, tree_id, coerce: bool) -> ColoredArborescen
         if min(color_row) < 0:
             v, col = next(vc for vc in zip(source_ids, color_row) if vc[1] < 0)
             raise MissingColor(f"vertex {v} has negative color {col}")
+    return ColoredArborescence(len(source_ids), *found, color_row, tree_id, tuple(source_ids))
 
-    # Relabel unless the ids already are 0..n-1, all of type int.
-    id_types = {*map(type, source_ids), *map(type, parent), *map(type, kids)}
-    if id_types != {int} or source_ids[0] != 0 or source_ids[-1] != n - 1:
-        new_id = {old: new for new, old in enumerate(source_ids)}
-        kids = {new_id[p]: [new_id[c] for c in cs] for p, cs in kids.items()}
-        inferred_root = new_id[inferred_root]
-    children: list[tuple[int, ...]] = [()] * n
-    for p, cs in kids.items():
-        children[p] = tuple(sorted(cs))
-    return ColoredArborescence(
-        n=n,
-        root=inferred_root,
-        children=tuple(children),
-        colors=color_row,
-        tree_id=tree_id,
-        source_ids=source_ids,
-    )
+
+def _relabel(edges, colors) -> tuple[list, list[tuple[int, int]]]:
+    """Every id of ``colors`` and ``edges`` in sorted order, and the edges
+    as pairs of positions in it."""
+    # Of equal ids such as 1 and 1.0 the set keeps the first spelling, in
+    # the order colors, children, parents, which the fault messages name.
+    source_ids = sorted({*colors, *(c for _, c in edges), *(p for p, _ in edges)})
+    position = {v: i for i, v in enumerate(source_ids)}
+    return source_ids, [(position[p], position[c]) for p, c in edges]
+
+
+def _scan(edges, source_ids, root) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
+    """Root and sorted children rows of the arborescence that ``edges``
+    make on the vertices ``0..n-1``, ``n = len(source_ids)``, checking the
+    declared ``root``.  ``None`` at the first entry that is not a pair of
+    ints in that range, or that is a self-loop or gives a vertex a second
+    parent: the caller relabels the ids or names that edge.  Every other
+    fault raises, naming each vertex ``v`` as ``source_ids[v]``."""
+    n = len(source_ids)
+    parent = [-1] * n
+    kids: list[list[int]] = [[] for _ in range(n)]
+    try:
+        # A JSON entry that unpacks to two ints is a list of two ints: a
+        # string unpacks to strings and an object to its string keys.
+        for p, c in edges:
+            if (
+                type(p) is not int
+                or type(c) is not int
+                or not 0 <= p < n
+                or not 0 <= c < n
+                or parent[c] >= 0
+                or p == c
+            ):
+                return None
+            parent[c] = p
+            kids[p].append(c)
+    except (TypeError, ValueError):  # an entry that is not a pair
+        return None
+
+    if not n:
+        raise DisconnectedVertex("empty tree: no vertices supplied")
+    # n - 1 edges into distinct vertices leave exactly one without a parent
+    if len(edges) == n - 1:
+        roots = [parent.index(-1)]
+    else:
+        roots = [v for v in range(n) if parent[v] < 0]
+    if edges:
+        for v in roots:
+            if not kids[v]:
+                raise DisconnectedVertex(f"vertex {source_ids[v]} has no incident edges")
+    if len(roots) > 1:
+        raise MultipleRoots(f"vertices {[source_ids[v] for v in roots]} all have in-degree 0")
+    if not roots:
+        raise CycleDetected("no vertex has in-degree 0; the edges contain a cycle")
+    inferred_root = roots[0]
+    if root is not None and root != source_ids[inferred_root]:
+        raise MultipleRoots(
+            f"declared root {root} differs from inferred root {source_ids[inferred_root]}"
+        )
+
+    # With one parent per vertex, only a cycle can hide a vertex from the root.
+    reached = [inferred_root]
+    for v in reached:
+        reached += kids[v]
+    if len(reached) != n:
+        missing = min(set(range(n)).difference(reached))
+        raise CycleDetected(f"vertex {source_ids[missing]} is not reachable from the root")
+    for cs in kids:
+        cs.sort()
+    return inferred_root, tuple(map(tuple, kids))
+
+
+def _edge_fault(edges) -> TreeStructureError:
+    """The first self-loop, repeated edge or second parent in ``edges``,
+    named as the edges spell it; :func:`_scan` has found that there is one."""
+    parent: dict = {}
+    for p, c in edges:
+        if p == c:
+            return CycleDetected(f"self-loop on vertex {p}")
+        if c in parent:
+            q = parent[c]
+            if q == p:
+                return DuplicateEdge(f"edge ({p}, {c}) appears twice")
+            # name c as the first edge spelled it (1 and 1.0 are one key)
+            first = (q, next(k for k in parent if k is c or k == c))
+            return DuplicateEdge(f"vertex {c} has two in-edges {first} and {(p, c)}")
+        parent[c] = p
 
 
 def leaves(tree: ColoredArborescence) -> set[VertexId]:
@@ -241,7 +285,17 @@ def load_color_table(fp: IO[str]) -> dict[str, int]:
     return table
 
 
-def _tree_from_json(obj: dict, line: int, color_table: Mapping[str, int] | None):
+def _tree_from_json(
+    obj: object, line: int, color_table: Mapping[str, int] | None
+) -> ColoredArborescence:
+    """The tree of one corpus object.  Raises :class:`ParseError` naming
+    the first malformed field, before any structural fault, which raises
+    as the :class:`TreeStructureError` that names it.
+
+    When ``root`` and ``id`` have their types, the colors are nonnegative
+    ints and the ids are ``0..n-1``, the fields are checked in bulk and the
+    raw edges go straight to :func:`_scan`, which checks each entry.  Any
+    other object is read entry by entry and built by :func:`_build_tree`."""
     if not isinstance(obj, dict):
         raise ParseError(line, "expected a JSON object")
     if "colors" not in obj:
@@ -252,15 +306,36 @@ def _tree_from_json(obj: dict, line: int, color_table: Mapping[str, int] | None)
     raw_edges = obj["edges"]
     if not isinstance(raw_colors, dict) or not isinstance(raw_edges, list):
         raise ParseError(line, '"colors" must be an object and "edges" a list')
+    root = obj.get("root")
+    tree_id = obj.get("id")
+    n = len(raw_colors)
+    # shifted or sparse ids leave before the pass over the keys; so does
+    # a line that spells the key of 0 or n-1 as, say, " 0" or "00"
+    if (
+        (root is None or type(root) is int)
+        and (tree_id is None or type(tree_id) is str)
+        and "0" in raw_colors
+        and str(n - 1) in raw_colors
+    ):
+        color_row = tuple(raw_colors.values())
+        source_ids = tuple(range(n))
+        try:
+            ids = tuple(map(int, raw_colors))
+            if ids != source_ids:  # color keys in another order, or other ids
+                # a KeyError unless the n keys name each of 0..n-1 once
+                color_row = tuple(map(dict(zip(ids, color_row)).__getitem__, source_ids))
+        except (ValueError, KeyError):
+            color_row = ()  # no row: the object is read entry by entry
+        if set(map(type, color_row)) == {int} and min(color_row) >= 0:
+            found = _scan(raw_edges, source_ids, root)
+            if found is not None:
+                return ColoredArborescence(n, *found, color_row, tree_id or None, source_ids)
 
-    edges: list[tuple[int, int]] = []
     for e in raw_edges:
-        if isinstance(e, list) and len(e) == 2:
-            p, c = e
-            if type(p) is int and type(c) is int:
-                edges.append((p, c))
-                continue
-        raise ParseError(line, f"bad edge entry {e!r}")
+        if not (
+            isinstance(e, list) and len(e) == 2 and type(e[0]) is int and type(e[1]) is int
+        ):
+            raise ParseError(line, f"bad edge entry {e!r}")
 
     colors: dict[int, int] = {}
     for key, value in raw_colors.items():
@@ -287,87 +362,11 @@ def _tree_from_json(obj: dict, line: int, color_table: Mapping[str, int] | None)
                 message = f"vertex {int(key)} has two color keys {first!r} and {key!r}"
                 raise ParseError(line, message)
 
-    root = obj.get("root")
     if root is not None and type(root) is not int:
         raise ParseError(line, '"root" must be an integer')
-    tree_id = obj.get("id")
     if tree_id is not None and not isinstance(tree_id, str):
         raise ParseError(line, '"id" must be a string')
-    return edges, colors, root, tree_id
-
-
-def _dense_tree(obj: object) -> ColoredArborescence | None:
-    """The tree of a corpus object whose ids are exactly ``0..n-1``, built
-    in one pass over list-indexed arrays; ``None`` for any other object or
-    any fault, which the general route then reads and names.
-
-    Every structural rule of :func:`_build_tree` is repeated here: a rule
-    changed there must change here too.  The differential test
-    ``test_iter_corpus_matches_build_tree_on_random_corpora`` and
-    ``test_iter_corpus_fault_table`` keep the two routes in step."""
-    if type(obj) is not dict:
-        return None
-    raw_colors = obj.get("colors")
-    raw_edges = obj.get("edges")
-    root = obj.get("root")
-    tree_id = obj.get("id")
-    if (
-        type(raw_colors) is not dict
-        or type(raw_edges) is not list
-        or not (root is None or type(root) is int)
-        or not (tree_id is None or type(tree_id) is str)
-    ):
-        return None
-    n = len(raw_colors)
-    if n == 0 or len(raw_edges) != n - 1:
-        return None
-    # shifted or sparse ids leave before the pass over the keys; so does
-    # a line that spells the key of 0 or n-1 as, say, " 0" or "00"
-    if "0" not in raw_colors or str(n - 1) not in raw_colors:
-        return None
-    try:
-        ids = list(map(int, raw_colors))
-    except ValueError:
-        return None
-    color_row = list(raw_colors.values())
-    if ids != list(range(n)):  # color keys in another order, or other ids
-        by_id = dict(zip(ids, color_row))
-        if len(by_id) != n or min(by_id) != 0 or max(by_id) != n - 1:
-            return None
-        color_row = list(map(by_id.__getitem__, range(n)))
-    if set(map(type, color_row)) != {int} or min(color_row) < 0:
-        return None
-
-    parent = [-1] * n
-    kids: list[list[int]] = [[] for _ in range(n)]
-    for e in raw_edges:
-        if type(e) is not list or len(e) != 2:
-            return None
-        p, c = e
-        if (
-            type(p) is not int
-            or type(c) is not int
-            or not 0 <= p < n
-            or not 0 <= c < n
-            or parent[c] >= 0
-        ):
-            return None
-        parent[c] = p
-        kids[p].append(c)
-    # n - 1 edges into distinct vertices leave exactly one without a parent
-    inferred_root = parent.index(-1)
-    if root is not None and root != inferred_root:
-        return None
-    # a vertex on a cycle, a self-loop included, is never reached
-    reached = [inferred_root]
-    for v in reached:
-        reached += kids[v]
-    if len(reached) != n:
-        return None
-    children = tuple([tuple(cs) if len(cs) < 2 else tuple(sorted(cs)) for cs in kids])
-    return ColoredArborescence(
-        n, inferred_root, children, tuple(color_row), tree_id or None, tuple(range(n))
-    )
+    return _build_tree(raw_edges, colors, root, tree_id or None, coerce=False)
 
 
 def iter_json_lines(
@@ -392,18 +391,15 @@ def iter_corpus(
     Raises :class:`ParseError` for malformed lines and
     :class:`ValidationError` (carrying the structural cause) for lines
     that parse but do not describe an arborescence.  Line numbers are
-    1-based.  A line whose ids are exactly ``0..n-1`` is read in one array
-    pass; any other line, or one with a fault, goes through
-    :func:`_tree_from_json` and :func:`_build_tree`, which name the fault.
+    1-based.  Ids ``0..n-1`` index the scan's arrays as they are, and
+    any other ids are relabeled in sorted order first, so the line's tree
+    and its fault are those :func:`build_tree` gives for the same ints.
     """
     for line_no, obj in iter_json_lines(source):
-        tree = _dense_tree(obj) if color_table is None else None
-        if tree is None:
-            edges, colors, root, tree_id = _tree_from_json(obj, line_no, color_table)
-            try:
-                tree = _build_tree(edges, colors, root, tree_id or None, coerce=False)
-            except Exception as exc:
-                raise ValidationError(line_no, exc) from exc
+        try:
+            tree = _tree_from_json(obj, line_no, color_table)
+        except TreeStructureError as exc:
+            raise ValidationError(line_no, exc) from exc
         yield tree
 
 

@@ -3,6 +3,7 @@
 import io
 import json
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -204,6 +205,7 @@ def test_build_edge_order_independent():
         shuffled = edges[:]
         rng.shuffle(shuffled)
         assert build_tree(shuffled, colors) == reference
+    assert build_tree(iter(edges), colors) == reference  # any iterable of edges
 
 
 def test_leaves_shapes():
@@ -344,7 +346,7 @@ def test_tree_line_is_the_json_line_of_the_tree(tree_id):
         assert tree_line(tree, tree_id) == json_line(tree_to_json(tree)) + "\n"
 
 
-# --- the array route of the corpus reader ----------------------------------
+# --- the corpus reader and build_tree: one scan for every id ---------------
 
 
 def _line_variants(tree, rng):
@@ -401,23 +403,91 @@ def test_iter_corpus_matches_build_tree_on_random_corpora():
         ]
 
 
-def test_iter_corpus_reads_dense_ids_without_the_general_builder(monkeypatch):
+def test_iter_corpus_indexes_ids_0_to_n_minus_1_without_relabeling(monkeypatch):
     def fail(*args, **kwargs):
-        raise AssertionError("the general builder ran")
+        raise AssertionError("the ids were relabeled")
 
+    rng = random.Random(6)
     trees = random_trees(12, 30, 3, seed=6)
-    buffer = io.StringIO()
-    write_corpus(trees, buffer)
-    dense = buffer.getvalue()
-    monkeypatch.setattr("colored_prufer.trees._build_tree", fail)
-    assert [_fields(t) for t in parse_corpus(io.StringIO(dense))] == [
-        _fields(t) for t in trees
-    ]
-    # shifted ids take the general route, which this test has disabled
+    lines = []
+    for tree in trees:
+        obj = tree_to_json(tree)
+        keys = list(obj["colors"])
+        rng.shuffle(keys)
+        obj["colors"] = {key: obj["colors"][key] for key in keys}
+        lines.append(json.dumps(obj))
+    monkeypatch.setattr("colored_prufer.trees._relabel", fail)
+    assert [_fields(t) for t in parse_corpus(lines)] == [_fields(t) for t in trees]
+    edges = [(u, v) for u in range(trees[0].n) for v in trees[0].children[u]]
+    assert build_tree(edges, dict(enumerate(trees[0].colors))) == trees[0]
+    # shifted ids go through the relabel step, which this test has disabled
     shifted = json.dumps({"edges": [[1, 2]], "colors": {"1": 0, "2": 0}})
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(AssertionError, match="relabeled"):
         parse_corpus(io.StringIO(shifted))
-    assert isinstance(err.value.cause, AssertionError)
+
+
+def _mutate(obj, ids, rng):
+    """Apply one random fault-prone edit to a corpus object whose tree has
+    the vertex ids ``ids``: drop an edge, repeat one, insert a self-loop,
+    move an edge's parent, drop a color, or add a color for an id that no
+    edge names."""
+    edges, colors = obj["edges"], obj["colors"]
+    edits = ["self-loop", "drop-color", "add-color"]
+    if edges:
+        edits += ["drop-edge", "repeat-edge", "move-parent"]
+    edit = rng.choice(edits)
+    if edit == "self-loop":
+        v = rng.choice(ids)
+        edges.insert(rng.randrange(len(edges) + 1), [v, v])
+    elif edit == "drop-color":
+        colors.pop(str(rng.choice(ids)), None)
+    elif edit == "add-color":
+        colors[str(ids[-1] + 1 + rng.randrange(3))] = rng.randrange(2)
+    elif edit == "drop-edge":
+        del edges[rng.randrange(len(edges))]
+    elif edit == "repeat-edge":
+        edges.insert(rng.randrange(len(edges) + 1), list(rng.choice(edges)))
+    else:
+        i = rng.randrange(len(edges))
+        edges[i] = [rng.choice(ids), edges[i][1]]
+
+
+def test_iter_corpus_matches_build_tree_on_random_faults():
+    rng = random.Random(4)
+    outcomes = []
+    for tree in random_trees(12, 400, 2, seed=4):
+        for shift in (0, 1000):
+            obj = {
+                "id": tree.tree_id,
+                "root": tree.root + shift,
+                "edges": [[u + shift, v + shift] for u in range(tree.n) for v in tree.children[u]],
+                "colors": {str(v + shift): c for v, c in enumerate(tree.colors)},
+            }
+            for _ in range(rng.randint(1, 2)):
+                _mutate(obj, range(shift, shift + tree.n), rng)
+            args = (
+                [tuple(e) for e in obj["edges"]],
+                {int(v): c for v, c in obj["colors"].items()},
+                obj["root"],
+                obj["id"],
+            )
+            try:
+                expected = build_tree(*args)
+            except ColoredPruferError as exc:
+                with pytest.raises(ValidationError) as err:
+                    parse_corpus([json.dumps(obj)])
+                cause = err.value.cause
+                assert (type(cause), str(cause)) == (type(exc), str(exc)), obj
+                outcomes.append(type(exc).__name__)
+            else:
+                [parsed] = parse_corpus([json.dumps(obj)])
+                assert _fields(parsed) == _fields(expected), obj
+                outcomes.append("tree")
+    # every fault the edits can make shows up, and so do trees
+    assert set(outcomes) == {
+        "tree", "CycleDetected", "DisconnectedVertex", "DuplicateEdge",
+        "MissingColor", "MultipleRoots",
+    }
 
 
 _C3 = {"0": 0, "1": 1, "2": 2}
@@ -510,3 +580,40 @@ def test_iter_corpus_fault_table(obj, error, cause, message):
     assert err.value.line == 2
     assert type(getattr(err.value, "cause", None)) is (cause or type(None))
     assert str(err.value) == f"line 2: {message}"
+
+
+# the rows of the table above, read from its mark so that they are written once
+_FAULT_TABLE = test_iter_corpus_fault_table.pytestmark[0]
+
+
+def _shift_ids(message):
+    """``message`` with every vertex id in it shifted by 1000; the literal
+    "in-degree 0" is not an id."""
+    parts = message.split("in-degree 0")
+    parts = [re.sub(r"-?\d+", lambda m: str(int(m.group()) + 1000), p) for p in parts]
+    return "in-degree 0".join(parts)
+
+
+@pytest.mark.parametrize(
+    "obj, error, cause, message",
+    [row for row in _FAULT_TABLE.args[1] if row[1] is ValidationError],
+    ids=[
+        name
+        for name, row in zip(_FAULT_TABLE.kwargs["ids"], _FAULT_TABLE.args[1])
+        if row[1] is ValidationError
+    ],
+)
+def test_iter_corpus_fault_table_on_shifted_ids(obj, error, cause, message):
+    shifted = {
+        "edges": [[p + 1000, c + 1000] for p, c in obj["edges"]],
+        "colors": {str(int(v) + 1000): c for v, c in obj["colors"].items()},
+    }
+    if "root" in obj:
+        shifted["root"] = obj["root"] + 1000
+    good = json.dumps({"id": "ok", "edges": [[0, 1]], "colors": {"0": 0, "1": 1}})
+    with pytest.raises(ColoredPruferError) as err:
+        parse_corpus(io.StringIO(f"{good}\n{json.dumps(shifted)}\n"))
+    assert type(err.value) is error
+    assert err.value.line == 2
+    assert type(err.value.cause) is cause
+    assert str(err.value) == f"line 2: {_shift_ids(message)}"
