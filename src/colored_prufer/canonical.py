@@ -21,6 +21,15 @@ ascending (color, descriptor) order; remaining ties are broken by stored
 child order, which is safe because fully tied siblings head isomorphic
 subtrees.  The full descriptor is the root color followed by every
 vertex's child-color array in that order.
+
+Checking that a tree is already canonically labeled needs no sort.  In
+a preorder-labeled tree whose subtree at ``a`` is sorted, the descriptor
+of ``a`` is the slice ``rows[a:b]`` of the child-color rows, ``b`` being
+its next sibling.  Being self-delimiting, two different descriptors
+first differ within the shorter, and equal ones have one length, so
+``rows[a:b]`` against the window of the same length at ``b`` orders the
+pair even where that window runs past ``b``'s subtree or the last row.
+A pair costs its common prefix, at most the smaller subtree: O(n log n).
 """
 
 from __future__ import annotations
@@ -117,11 +126,54 @@ def sorted_siblings(tree: ColoredArborescence):
 
 
 def is_canonically_labeled(tree: ColoredArborescence) -> bool:
-    """Whether every vertex id is its canonical rank: the ids are the
-    preorder over the stored children, and the stable sibling sort moves
-    no child (tied siblings stay in place)."""
-    preorder = _preorder(tree, tree.children) == list(range(tree.n))
-    return preorder and sorted_siblings(tree)[0] == list(tree.children)
+    """Whether every vertex id is its canonical rank, checked in place:
+    the ids are the preorder (the first child of ``v`` is ``v + 1``, and
+    each next sibling starts where the subtree before it ends), and each
+    adjacent pair of stored siblings ``(a, b)`` is in order by color,
+    then a leaf first, then by descriptor, the slice ``rows[a:b]``
+    against the window of the same length at ``b``.  O(n log n) at worst.
+    """
+    children, colors = tree.children, tree.colors
+    if tree.root != 0:
+        return False
+    end = list(range(1, tree.n + 1))  # one past the last id of each subtree
+    rows: list = []  # the child-color rows, once two first rows tie
+    for v in reversed(range(tree.n)):
+        kids = children[v]
+        if kids:
+            a = kids[0]
+            if a != v + 1:
+                return False
+            for b in kids[1:]:
+                if b != end[a] or colors[a] > colors[b]:
+                    return False
+                # a leaf a (b == a + 1) is least; a leaf b has the least row
+                if colors[a] == colors[b] and b - a > 1 and _descriptor_greater(tree, rows, a, b):
+                    return False
+                a = b
+            end[v] = end[a]
+    return True
+
+
+def _descriptor_greater(tree: ColoredArborescence, rows: list, a: int, b: int) -> bool:
+    """Whether the descriptor of ``a``, the sibling before ``b``, exceeds
+    ``b``'s.  Their first rows are built on the fly; at the first tie all
+    rows go into ``rows``, and windows growing fourfold (rows 0, 1-3,
+    4-15, ...) cost a pair at most four times its common prefix."""
+    if not rows:
+        color_of = tree.colors.__getitem__
+        row = tuple(map(color_of, tree.children[a]))
+        other = tuple(map(color_of, tree.children[b]))
+        if row != other:
+            return row > other
+        rows += [tuple(map(color_of, kids)) for kids in tree.children]
+    size, lo, hi = b - a, 0, 1
+    while lo < size:
+        window, other = rows[a + lo : a + hi], rows[b + lo : b + hi]
+        if window != other:
+            return window > other
+        lo, hi = hi, min(size, 4 * hi)
+    return False
 
 
 def _preorder(tree: ColoredArborescence, sorted_children) -> list[VertexId]:

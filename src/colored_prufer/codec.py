@@ -203,9 +203,12 @@ def decode(code: Vcpc, strict: bool = False) -> ColoredArborescence:
     root); vertex ``v`` then takes the color recorded at the step where
     ``v`` was pruned.  A valid code encodes its decoded tree under the
     identity order, so it re-encodes to itself exactly when the ids are
-    the preorder and every children tuple is in canonical sibling order
-    (:func:`is_canonically_labeled`); ``strict`` rejects the valid codes
-    that fail this.
+    the preorder and every children tuple is in canonical sibling order;
+    ``strict`` rejects the valid codes that fail this.  It checks that in
+    place (:func:`is_canonically_labeled`): each adjacent sibling pair by
+    color, leaf, and the descriptor ``rows[a:b]`` of the first against
+    the window of the same length at the second, which decides because
+    descriptors are self-delimiting.
     """
     n = code.n
     sequence = code.parents[:-1]  # valid: no sentinel before the last

@@ -59,14 +59,6 @@ class ColoredArborescence:
                 parent[v] = u
         return tuple(parent)
 
-    def undirected_adjacency(self) -> tuple[tuple[VertexId, ...], ...]:
-        adj: list[list[VertexId]] = [[] for _ in range(self.n)]
-        for u in range(self.n):
-            for v in self.children[u]:
-                adj[u].append(v)
-                adj[v].append(u)
-        return tuple(tuple(sorted(x)) for x in adj)
-
     def bfs_order(self) -> list[VertexId]:
         order = [self.root]
         for v in order:

@@ -177,3 +177,14 @@ def descent_pair() -> tuple[ColoredArborescence, ColoredArborescence]:
     )
     query = build_tree([(0, 1)], {0: 1, 1: 2})
     return query, host
+
+
+def neighbors(tree: ColoredArborescence) -> list[set[int]]:
+    """The neighbors of every vertex in the tree's underlying undirected
+    tree: its children and its parent."""
+    adjacent: list[set[int]] = [set() for _ in range(tree.n)]
+    for u, kids in enumerate(tree.children):
+        adjacent[u].update(kids)
+        for v in kids:
+            adjacent[v].add(u)
+    return adjacent

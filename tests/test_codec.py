@@ -9,6 +9,7 @@ undirected leaf mid-run, as on directed paths).
 
 import heapq
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -26,6 +27,7 @@ from colored_prufer import (
     prufer_to_edges,
     validate_code,
 )
+from colored_prufer.canonical import is_canonically_labeled, sorted_siblings
 from colored_prufer.codec import _prune_scan
 from colored_prufer.errors import InvalidCode, OrderMismatch, TooSmall
 from colored_prufer.oracle import random_trees
@@ -45,6 +47,7 @@ from golden import (
     VCPC_BUILD_PARENTS,
     automorphic_tree,
     classical_tree,
+    neighbors,
     subtree_host_1,
     subtree_host_2,
     subtree_query_3,
@@ -307,6 +310,219 @@ def test_decode_strict_accepts_exactly_the_codes_that_re_encode_to_themselves():
     assert min(verdicts[True, True], verdicts[False, True]) > 500
 
 
+def test_decode_strict_rejects_ids_off_the_preorder_with_ordered_colors():
+    # Every sibling pair is in color order, but vertex 4 does not start
+    # where the subtree of its elder sibling 2 ends (the root's child 3
+    # does there), so the ids are no preorder.
+    code = Vcpc(parents=(1, 0, 1, 0, None), colors=(0, 1, 1, 0, 1), n=5)
+    tree = decode(code)
+    assert tree.children == ((1, 3), (2, 4), (), (), ())
+    assert tree.colors == (1, 0, 0, 1, 1)
+    assert encode_canonical(tree)[0] != code
+    with pytest.raises(InvalidCode, match="^code does not re-encode to itself$"):
+        decode(code, strict=True)
+
+
+def _spider(lengths):
+    """Monochrome root with one leg of each length."""
+    edges, first = [], 1
+    for length in lengths:
+        edges.append((0, first))
+        edges.extend((v, v + 1) for v in range(first, first + length - 1))
+        first += length
+    return build_tree(edges, {v: 0 for v in range(first)})
+
+
+def _comb(spine, gadget=3):
+    """Monochrome spine with a gadget sibling under every spine vertex: a
+    vertex over ``gadget`` leaves.  For ``gadget`` >= 3 the spine's child
+    colors sort before the gadget's, so the long spine goes first."""
+    edges = [(v, v + 1) for v in range(spine - 1)]
+    n = spine
+    for v in range(spine):
+        edges.append((v, n))
+        edges.extend((n, n + 1 + k) for k in range(gadget))
+        n += 1 + gadget
+    return build_tree(edges, {v: 0 for v in range(n)})
+
+
+def _complete_binary_with_moved_leaf(depth, rng):
+    n = 2**depth - 1
+    leaf = rng.randrange(n // 2, n)
+    edges = [((v - 1) // 2, v) for v in range(1, n) if v != leaf]
+    edges.append((rng.randrange(leaf), leaf))
+    return build_tree(edges, {v: 0 for v in range(n)})
+
+
+def _window_pairs(tree):
+    """Adjacent stored siblings that get past the color and leaf steps of
+    the strict check, and how many of those tie on their first rows."""
+    children, colors = tree.children, tree.colors
+    reached = tied = 0
+    for kids in children:
+        for a, b in zip(kids, kids[1:]):
+            if colors[a] == colors[b] and children[a] and children[b]:
+                reached += 1
+                row = tuple(colors[c] for c in children[a])
+                tied += row == tuple(colors[c] for c in children[b])
+    return reached, tied
+
+
+def _caterpillar_tree(spine, rng):
+    """Monochrome spine with zero to three legs of one or two vertices
+    under each spine vertex."""
+    edges = [(v, v + 1) for v in range(spine - 1)]
+    n = spine
+    for v in range(spine):
+        for _ in range(rng.randrange(4)):
+            edges.append((v, n))
+            if rng.randrange(2):
+                edges.append((n, n + 1))
+                n += 1
+            n += 1
+    return build_tree(edges, {v: 0 for v in range(n)})
+
+
+def _one_set_shuffled_order(tree, rng):
+    """The canonical DFS order, but with the children of one random
+    vertex visited in random order."""
+    visit = dict(enumerate(sorted_siblings(tree)[0]))
+    v = rng.choice([v for v, kids in visit.items() if len(kids) > 1])
+    visit[v] = rng.sample(visit[v], len(visit[v]))
+    return _dfs_order_visiting(tree, visit)
+
+
+def test_decode_strict_window_step_agrees_with_re_encode():
+    # DFS orders keep the preorder and break sibling order, all over the
+    # tree or at one vertex, so on monochrome shapes the verdict comes
+    # from the descriptor comparison.
+    rng = random.Random(43)
+    shapes = [_spider(rng.sample(range(1, 14), rng.randrange(2, 7))) for _ in range(40)]
+    shapes += [_comb(rng.randrange(2, 12), rng.randrange(1, 5)) for _ in range(30)]
+    shapes += [_caterpillar_tree(rng.randrange(3, 30), rng) for _ in range(30)]
+    shapes += [_complete_binary_with_moved_leaf(rng.randrange(3, 7), rng) for _ in range(30)]
+    verdicts, reached, tied = Counter(), Counter(), Counter()
+    for t in shapes:
+        for make_order in (_random_dfs_order, _one_set_shuffled_order) * 3:
+            code = encode(t, make_order(t, rng))[0]
+            expected = encode_canonical(decode(code))[0] == code
+            try:
+                accepted = decode(code, strict=True) == decode(code)
+            except InvalidCode as exc:
+                assert str(exc) == "code does not re-encode to itself"
+                accepted = False
+            assert accepted is expected
+            verdicts[expected] += 1
+            pairs, ties = _window_pairs(decode(code))
+            reached[expected] += pairs
+            tied[expected] += ties
+    # Both verdicts occur often.  An accepted code passed every pair of
+    # its tree, so over a thousand pairs got past the color and leaf
+    # steps, and hundreds tied on their first rows and went on to the
+    # wider windows; the rejected codes carry more such pairs.
+    assert min(verdicts.values()) > 200
+    assert min(reached.values()) > 1000 and min(tied.values()) > 500
+
+
+def _stored_order_code(edges):
+    """The code of the monochrome tree whose ids are its preorder over
+    children in ascending id order: decoding it restores those ids."""
+    n = len(edges) + 1
+    tree = build_tree(edges, {v: 0 for v in range(n)})
+    code = encode(tree, _rank_order(range(n)))[0]
+    assert decode(code) == tree
+    return code
+
+
+def _strict_verdict(code):
+    try:
+        decode(code, strict=True)
+    except InvalidCode:
+        return False
+    return True
+
+
+def _chain(first, length):
+    """Edges of a path of ``length`` vertices from id ``first``."""
+    return [(v, v + 1) for v in range(first, first + length - 1)]
+
+
+def test_decode_strict_window_past_the_last_siblings_subtree():
+    # Under vertex 1: a (ids 2..6, a leaf and a 3-path) before b (ids
+    # 7..9, two leaves).  Their first rows tie, and the window of a's
+    # length at b runs past b's subtree: past the last id, or into a
+    # 3-leaf star that sorts after vertex 1 under the root.
+    a = [(2, 3), (2, 4), *_chain(4, 3)]
+    b = [(7, 8), (7, 9)]
+    b_first = [(2, 3), (2, 4), (5, 6), (5, 7), *_chain(7, 3)]
+    for tail in ([], [(0, 10), (10, 11), (10, 12), (10, 13)]):
+        code = _stored_order_code([(0, 1), (1, 2), (1, 7), *a, *b, *tail])
+        assert _window_pairs(decode(code)) == (1 + len(tail) // 4, 1)
+        assert _strict_verdict(code) is False
+        assert encode_canonical(decode(code))[0] != code
+        code = _stored_order_code([(0, 1), (1, 2), (1, 5), *b_first, *tail])
+        assert _strict_verdict(code) is True
+        assert encode_canonical(decode(code))[0] == code
+    # A 9-path before a 7-vertex path that forks at its fifth vertex: the
+    # rows tie up to the fork, where the 9-path's (0,) goes first, and the
+    # window of the 9-path's length runs 2 past the last id.
+    fork = [*_chain(10, 5), (14, 15), (14, 16)]
+    code = _stored_order_code([(0, 1), *_chain(1, 9), (0, 10), *fork])
+    assert _strict_verdict(code) is True
+    assert encode_canonical(decode(code))[0] == code
+    fork = [*_chain(1, 5), (5, 6), (5, 7)]
+    code = _stored_order_code([(0, 1), *fork, (0, 8), *_chain(8, 9)])
+    assert _strict_verdict(code) is False
+    assert encode_canonical(decode(code))[0] != code
+
+
+def _dfs_order_visiting(tree, visit):
+    """The depth-first preorder visiting the children of each vertex in
+    ``visit`` in the given order, and the others in stored order."""
+    inverse, stack = [], [tree.root]
+    while stack:
+        v = stack.pop()
+        inverse.append(v)
+        stack += reversed(visit.get(v, tree.children[v]))
+    return _rank_order(inverse)
+
+
+def test_decode_strict_accepts_identical_siblings_in_either_stored_order():
+    # The root over a 2-path, two copies of a 4-vertex subtree and a
+    # 3-leaf star.  The copies tie through their last row; a DFS visiting
+    # either copy first gives the canonical code, which strict accepts.
+    edges = [(0, 1), (1, 2), (0, 11), (11, 12), (11, 13), (11, 14)]
+    for top in (3, 7):
+        edges += [(0, top), (top, top + 1), (top + 1, top + 2), (top, top + 3)]
+    tree = build_tree(edges, {v: 0 for v in range(15)})
+    codes = {
+        encode(tree, _dfs_order_visiting(tree, {0: (1, *twins, 11), 3: (6, 4), 7: (10, 8)}))[0]
+        for twins in ((3, 7), (7, 3))
+    }
+    assert codes == {encode_canonical(tree)[0]}
+    (code,) = codes
+    assert _window_pairs(decode(code)) == (3, 1)
+    assert decode(code, strict=True) == decode(code)
+
+
+def test_strict_check_is_near_linear_on_a_long_comb():
+    # A naive check slicing the long spine's whole descriptor at every
+    # spine vertex is quadratic here: about 30 times the sort's time.
+    tree = decode(encode_canonical(_comb(12000))[0])
+    assert tree.n == 60000
+
+    def fastest(check):
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            check(tree)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    assert is_canonically_labeled(tree)
+    assert fastest(is_canonically_labeled) <= 3 * fastest(sorted_siblings)
+
+
 # --- classical sequences --------------------------------------------------------
 
 
@@ -400,7 +616,7 @@ def _heap_encode(tree, order):
 
 def _heap_classical(tree, labels):
     """The classical sequence by popping the least-labeled leaf."""
-    adjacency = [set(x) for x in tree.undirected_adjacency()]
+    adjacency = neighbors(tree)
     by_label = {labels[v]: v for v in range(tree.n)}
     heap = [labels[v] for v in range(tree.n) if len(adjacency[v]) == 1]
     heapq.heapify(heap)

@@ -37,6 +37,7 @@ from golden import (
     incident_host,
     incident_middle_host,
     incident_query,
+    neighbors,
     subtree_host_1,
     subtree_host_2,
     subtree_query_3,
@@ -404,7 +405,7 @@ def test_undirected_detects_cross_root_embedding():
 
 def _reroot(tree, new_root):
     """The same undirected colored tree, oriented away from ``new_root``."""
-    adjacency = tree.undirected_adjacency()
+    adjacency = neighbors(tree)
     seen = {new_root}
     stack = [new_root]
     edges = []

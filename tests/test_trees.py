@@ -29,6 +29,8 @@ from colored_prufer.errors import (
 )
 from colored_prufer.oracle import random_trees
 
+from golden import neighbors
+
 
 def test_build_infers_root_and_normalizes():
     t = build_tree([(7, 3), (7, 9)], {7: 2, 3: 2, 9: 0})
@@ -224,9 +226,7 @@ def test_structural_invariants_on_random_trees():
         assert leaves(t)
         # undirected leaves are the pruning leaves plus, when it has a
         # single child, the root (which is never eligible for pruning)
-        undirected_leaf = {
-            v for v in range(t.n) if len(t.undirected_adjacency()[v]) <= 1
-        }
+        undirected_leaf = {v for v, adjacent in enumerate(neighbors(t)) if len(adjacent) <= 1}
         expected = leaves(t) | ({t.root} if len(t.children[t.root]) == 1 else set())
         assert undirected_leaf == expected
 
