@@ -117,9 +117,9 @@ def cmd_poset(args) -> int:
 
 
 def cmd_most_common(args) -> int:
-    classes = corpus_mod.partition_by_isomorphism(list(_read_trees(args)))
+    trees = list(_read_trees(args))
     try:
-        best, count = corpus_mod.most_representative(classes, args.max_order)
+        best, count = corpus_mod.most_representative(trees, args.max_order)
     except NoEligibleClass as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY

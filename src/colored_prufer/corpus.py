@@ -6,7 +6,9 @@ relation pair: the representative's prune steps mapped to the larger
 representative's.  Both come from one bottom-up sweep over the
 representatives' shared subtree table, which finds every contained pair,
 so the relation is never incomplete and is transitively closed as found.
-The most common class is counted straight from the same sweep.
+The most common class is counted from the same kind of sweep, over a
+table of the corpus trees themselves, grouped into classes by hash-consed
+root id; only the winner's tree is encoded.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def _sweep(classes: Sequence[IsoClass]) -> tuple[SubtreeTable, list[Rooted], lis
         at.setdefault(tree.ids[-1], []).append(i)
     above: list[list[int]] = [[] for _ in classes]
     for j, tree in enumerate(rooted):
-        for q in at.keys() & table.contained(tree):
+        for q in at.keys() & table.contained(tree.firsts):
             for i in at[q]:
                 above[i].append(j)
     return table, rooted, above
@@ -102,23 +104,38 @@ def subtree_poset(classes: Sequence[IsoClass]) -> CorpusPoset:
     return CorpusPoset(list(classes), {(a, b): w for a, b, w in poset_pairs(classes)})
 
 
-def most_representative(classes: Sequence[IsoClass], max_order: int) -> tuple[IsoClass, int]:
+def most_representative(
+    corpus: Sequence[ColoredArborescence], max_order: int
+) -> tuple[IsoClass, int]:
     """Class with at most ``max_order`` vertices contained in most trees.
 
-    The count for class A sums the sizes of every class whose
-    representative contains A's, A itself included, read straight from
-    one sweep over the representatives' shared subtree table.  Ties favor
-    the smaller class id.
+    The trees are hash-consed into one subtree table and grouped by root
+    id, which gives the classes of :func:`partition_by_isomorphism`, ids
+    and members included.  The count for class A sums the sizes of every
+    class whose first tree contains A's, A itself included, read from one
+    sweep of the table.  Ties favor the smaller class id.  Only the
+    winner's first tree is encoded, for its representative.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    eligible = [i for i, cls in enumerate(classes) if cls.representative.n <= max_order]
+    table = SubtreeTable()
+    # per root id, in first appearance: the first tree, its ids, the members
+    groups: dict[int, tuple[ColoredArborescence, list[int], list[str]]] = {}
+    for position, tree in enumerate(corpus):
+        down = table.intern_tree(tree)
+        member = tree.tree_id if tree.tree_id is not None else str(position)
+        groups.setdefault(down[tree.root], (tree, down, []))[2].append(member)
+    eligible = {root: k for k, root in enumerate(groups) if table.size[root] <= max_order}
     if not eligible:
         raise NoEligibleClass(
             f"no class representative has at most {max_order} vertices"
         )
-    _, _, above = _sweep(classes)
-    sizes = [cls.size for cls in classes]
-    counts = {i: sum(map(sizes.__getitem__, above[i])) for i in eligible}
-    best = min(eligible, key=lambda i: (-counts[i], classes[i].class_id))
-    return classes[best], counts[best]
+    table.sweep()
+    counts = dict.fromkeys(eligible, 0)
+    for _, down, members in groups.values():
+        for root in eligible.keys() & table.contained(down):
+            counts[root] += len(members)
+    best = min(counts, key=lambda root: (-counts[root], eligible[root]))
+    tree, _, members = groups[best]
+    code, _ = encode_canonical(tree)
+    return IsoClass(eligible[best], code, tuple(members), len(members)), counts[best]

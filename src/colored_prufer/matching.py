@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .codec import Vcpc
 from .errors import IndexOutOfRange, InvalidCode, SentinelCompared
@@ -230,19 +230,19 @@ class SubtreeTable:
             top = value
         return Rooted(ids, kids, firsts)
 
-    def intern_sides(self, tree: ColoredArborescence) -> tuple[list[int], list[int]]:
-        """Subtree ids of both sides of every edge, by one rerooting pass.
+    def intern_tree(
+        self, tree: ColoredArborescence, order: list[int] | None = None
+    ) -> list[int]:
+        """The subtree id of every vertex, rooted there, children first; a
+        caller that has the tree's ``bfs_order`` passes it as ``order``.
 
-        ``down[v]`` is v's side of the edge to its parent, rooted at v;
-        ``up[v]`` is the parent's side, rooted at the parent (-1 at the root).
-        At each vertex the ids outside it are sorted once, and each distinct
-        child id gets one up-id: that list less one copy of the child's id.
-        """
-        order = tree.bfs_order()
-        colors, children, n = tree.colors, tree.children, tree.n
+        Two trees in one table are isomorphic exactly when their roots get
+        one id (Aho, Hopcroft & Ullman 1974), the root id of their canonical
+        code, so a corpus is grouped into classes with no code built."""
+        colors, children = tree.colors, tree.children
         known, new, size = self._ids, self._new, self.size
-        down = [0] * n
-        for v in reversed(order):
+        down = [0] * tree.n
+        for v in reversed(order or tree.bfs_order()):
             kids = children[v]
             if not kids:
                 key, grown = (colors[v], ()), 1
@@ -253,10 +253,27 @@ class SubtreeTable:
                 key, grown = (colors[v], tuple(sorted([down[c] for c in kids]))), 0
             sid = known.get(key)
             down[v] = new(key, grown) if sid is None else sid
+        return down
+
+    def intern_sides(self, tree: ColoredArborescence) -> tuple[list[int], list[int]]:
+        """Subtree ids of both sides of every edge, by one rerooting pass.
+
+        ``down[v]`` is v's side of the edge to its parent, rooted at v, as
+        :meth:`intern_tree` gives it; ``up[v]`` is the parent's side, rooted
+        at the parent (-1 at the root).  At each vertex the ids outside it
+        are sorted once, and each distinct child id gets one up-id: that
+        list less one copy of the child's id.
+        """
+        order = tree.bfs_order()
+        down = self.intern_tree(tree, order)
+        colors, children, n = tree.colors, tree.children, tree.n
+        known, new, size = self._ids, self._new, self.size
         # an up side holds every vertex outside the child's down side
         up = [-1] * n
         for p in order:
             kids = children[p]
+            if not kids:
+                continue
             if len(kids) == 1:
                 key = (colors[p], (up[p],) if up[p] >= 0 else ())
                 sid = known.get(key)
@@ -429,10 +446,10 @@ class SubtreeTable:
                     ):
                         mine.add(q)
 
-    def contained(self, tree: Rooted) -> set[int]:
+    def contained(self, ids: Iterable[int]) -> set[int]:
         """Ids that embed anywhere in an interned tree, once :meth:`sweep`
-        has run: the union of the memo rows of its distinct subtree ids."""
-        return set().union(*map(self._yes.__getitem__, tree.firsts))
+        has run: the union of the memo rows of the tree's subtree ids."""
+        return set().union(*map(self._yes.__getitem__, ids))
 
     def witness(self, query: Rooted, host: Rooted, at: int | None = None) -> tuple[int, ...]:
         """Host step per query step, the query's root on the first host

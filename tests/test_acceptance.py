@@ -199,8 +199,8 @@ def test_criterion_8_benchmark_verdict_matrices(capsys):
 def test_criterion_9_most_representative_matches_exhaustive_count():
     start = time.perf_counter()
     trees = random_trees(8, 50, 3, seed=9292)
+    best, count = most_representative(trees, max_order=20)
     classes = partition_by_isomorphism(trees)
-    best, count = most_representative(classes, max_order=20)
 
     rep_tree = {c.class_id: decode(c.representative) for c in classes}
 

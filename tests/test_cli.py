@@ -223,18 +223,33 @@ def test_poset_pairs_keep_their_order_and_witnesses_match_subtree(cli, spec):
 
 
 def test_most_common_never_builds_the_poset(cli, monkeypatch):
-    from colored_prufer import corpus
+    from colored_prufer import cli as cli_mod
+    from colored_prufer import codec, corpus
     from colored_prufer.matching import SubtreeTable
 
     def refuse(*args, **kwargs):
         raise AssertionError("most-common must count from the sweep alone")
 
+    encode_canonical = codec.encode_canonical
+    encoded = []
+
+    def counted(tree):
+        encoded.append(tree)
+        return encode_canonical(tree)
+
+    for module in (codec, corpus, cli_mod):
+        monkeypatch.setattr(module, "encode_canonical", counted)
     monkeypatch.setattr(corpus, "subtree_poset", refuse)
+    monkeypatch.setattr(corpus, "partition_by_isomorphism", refuse)
     monkeypatch.setattr(SubtreeTable, "witness", refuse)
+    monkeypatch.setattr(SubtreeTable, "intern_code", refuse)
     for spec in ("12 500 2 0", "30 300 4 7"):
         m, n, c, seed = spec.split()
         _, text, _ = cli(["gen", "--m", m, "--n", n, "--c", c, "--seed", seed])
+        encoded.clear()
         out = cli(["most-common", "--max-order", "6"], text)[1]
+        # the trees are grouped by interned root id: only the winner is encoded
+        assert len(encoded) == 1
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == POSET_DIGESTS[(spec, "most-common")]
 
@@ -304,7 +319,7 @@ def test_most_common_and_empty_result(cli):
     record = json.loads(out)
     assert record["count"] == 2 and record["code"]["n"] == 2
     code, _, err = cli(["most-common", "--max-order", "1"], p3 + p2)
-    assert code == 4 and "error" in err
+    assert code == 4 and err == "error: no class representative has at most 1 vertices\n"
 
 
 def test_subtree_files(cli, tmp_path):

@@ -21,6 +21,7 @@ from colored_prufer import (
 )
 from colored_prufer.corpus import poset_pairs
 from colored_prufer.errors import NoEligibleClass
+from colored_prufer.matching import SubtreeTable
 
 from golden import automorphic_tree, subtree_host_1, vcpc_build_tree
 
@@ -114,7 +115,8 @@ def test_poset_pairs_stream_in_class_id_order():
 
 
 def test_duplicate_representatives_are_both_found():
-    classes = partition_by_isomorphism(random_trees(7, 150, 3, seed=52))
+    trees = random_trees(7, 150, 3, seed=52)
+    classes = partition_by_isomorphism(trees)
     below = subtree_poset(classes).below
     new = len(classes)
     for k in (0, 1, 2, len(classes) - 1):
@@ -126,15 +128,27 @@ def test_duplicate_representatives_are_both_found():
                 for b2 in (b, new) if b == k else (b,):
                     expected[(a2, b2)] = witness
         assert subtree_poset(classes + [twin]).below == expected
-        sizes = {cls.class_id: cls.size for cls in classes + [twin]}
+        # most-common reads trees: a relabeled copy of k's first tree under
+        # another id joins k's class instead of making a twin class
+        first = trees[[t.tree_id for t in trees].index(classes[k].member_ids[0])]
+        copy = _relabelings(first, random.Random(k))[0]
+        sizes = {cls.class_id: cls.size + (cls.class_id == k) for cls in classes}
         for max_order in (1, 3, 7):
-            counts = {a: 0 for a in sizes if (classes + [twin])[a].representative.n <= max_order}
-            for a, b in expected:
+            counts = {a: 0 for a in sizes if classes[a].representative.n <= max_order}
+            for a, b in below:
                 if a in counts:
                     counts[a] += sizes[b]
             top = max(counts.values())
-            best, count = most_representative(classes + [twin], max_order)
+            best, count = most_representative(trees + [copy], max_order)
             assert (best.class_id, count) == (min(a for a, v in counts.items() if v == top), top)
+            assert best.size == sizes[best.class_id]
+            if best.class_id == k:
+                assert best.member_ids == classes[k].member_ids + (copy.tree_id,)
+    # the same tree under two ids is one class of size 2
+    tree = vcpc_build_tree()
+    copy = _relabelings(replace(tree, tree_id="a"), random.Random(0))[0]
+    best, count = most_representative([replace(tree, tree_id="b"), copy], max_order=5)
+    assert (best.class_id, best.member_ids, best.size, count) == (0, ("b", copy.tree_id), 2, 2)
 
 
 def test_poset_witnesses_along_a_chain_of_nested_stars():
@@ -230,18 +244,16 @@ def test_most_representative_two_paths():
     # path of three same-colored vertices and its two-vertex sub-path
     p3 = build_tree([(0, 1), (1, 2)], {0: 7, 1: 7, 2: 7})
     p2 = build_tree([(0, 1)], {0: 7, 1: 7})
-    classes = partition_by_isomorphism([p3, p2])
-    best, count = most_representative(classes, max_order=5)
+    best, count = most_representative([p3, p2], max_order=5)
     assert best.representative.n == 2
     assert count == 2
     # order bound 2 leaves the short path as the only eligible class
-    best2, count2 = most_representative(classes, max_order=2)
+    best2, count2 = most_representative([p3, p2], max_order=2)
     assert (best2.representative.n, count2) == (2, 2)
 
 
 def test_most_representative_single_class():
-    classes = partition_by_isomorphism([vcpc_build_tree(), vcpc_build_tree()])
-    best, count = most_representative(classes, max_order=20)
+    best, count = most_representative([vcpc_build_tree(), vcpc_build_tree()], max_order=20)
     assert best.class_id == 0
     assert count == 2
 
@@ -250,7 +262,7 @@ def test_most_representative_counts_match_exhaustive():
     trees = random_trees(6, 60, 2, seed=56)
     classes = partition_by_isomorphism(trees)
     poset = subtree_poset(classes)
-    best, count = most_representative(classes, max_order=6)
+    best, count = most_representative(trees, max_order=6)
     reps = {c.class_id: c.representative for c in classes}
     sizes = {c.class_id: c.size for c in classes}
 
@@ -280,7 +292,7 @@ def test_most_representative_counts_larger_winners_like_the_oracle():
         for c in classes
     }
     for max_order in range(3, 9):
-        best, count = most_representative(classes, max_order)
+        best, count = most_representative(trees, max_order)
         eligible = {k: v for k, v in counts.items() if classes[k].representative.n <= max_order}
         top = max(eligible.values())
         assert (best.class_id, count) == (min(k for k, v in eligible.items() if v == top), top)
@@ -297,28 +309,125 @@ def test_most_representative_tie_goes_to_smaller_class_id():
         {0: 7, 1: 1, 2: 2, 3: 3, 4: 4, 5: 4, 6: 4},
     )
     for first, second in ((path, mono), (mono, path)):
-        classes = partition_by_isomorphism([star, first, second, both])
         for max_order in (3, 4, 7):
-            best, count = most_representative(classes, max_order)
+            best, count = most_representative([star, first, second, both], max_order)
             assert (best.class_id, count) == (1, 2)
+            assert best.representative == encode_canonical(first)[0]
 
 
 def test_most_representative_tie_ignores_list_order():
-    classes = partition_by_isomorphism(
-        [build_tree([], {0: 1}), build_tree([], {0: 2})]
-    )
-    for order in (classes, classes[::-1]):
+    # a tie goes to the class whose first tree comes first, whichever that is
+    one, two = build_tree([], {0: 1}, tree_id="one"), build_tree([], {0: 2}, tree_id="two")
+    for order in ([one, two], [two, one]):
         best, count = most_representative(order, max_order=1)
-        assert (best.class_id, count) == (0, 1)
-    classes = partition_by_isomorphism(random_trees(6, 200, 2, seed=59))
-    expected = [most_representative(classes, max_order) for max_order in range(1, 7)]
+        assert (best.class_id, best.member_ids, count) == (0, (order[0].tree_id,), 1)
+    trees = random_trees(6, 200, 2, seed=59)
     for seed in range(3):
-        shuffled = classes[:]
+        shuffled = trees[:]
         random.Random(seed).shuffle(shuffled)
-        assert [most_representative(shuffled, m) for m in range(1, 7)] == expected
+        classes, counts = _poset_counts(shuffled)
+        for max_order in range(1, 7):
+            best, count = most_representative(shuffled, max_order)
+            assert (best, count) == _expected_winner(classes, counts, max_order)
 
 
 def test_most_representative_no_eligible_class():
-    classes = partition_by_isomorphism([vcpc_build_tree()])
     with pytest.raises(NoEligibleClass):
-        most_representative(classes, max_order=4)
+        most_representative([vcpc_build_tree()], max_order=4)
+    with pytest.raises(NoEligibleClass, match="no class representative has at most 4 vertices"):
+        most_representative([], max_order=4)
+
+
+def _relabelings(tree, rng):
+    """Copies of a tree that store it differently: its vertex ids permuted,
+    its ids shifted by 7, and its siblings in other orders; each copy's id
+    names the way it was made."""
+    edges = [(p, c) for p in range(tree.n) for c in tree.children[p]]
+    name = tree.tree_id or "tree"
+    perm = list(range(tree.n))
+    rng.shuffle(perm)
+    permuted = build_tree(
+        [(perm[p], perm[c]) for p, c in edges],
+        {perm[v]: color for v, color in enumerate(tree.colors)},
+        tree_id=f"{name}:permuted",
+    )
+    shifted = build_tree(
+        [(p + 7, c + 7) for p, c in edges],
+        {v + 7: color for v, color in enumerate(tree.colors)},
+        tree_id=f"{name}:shifted",
+    )
+    reordered = replace(
+        tree,
+        children=tuple(tuple(rng.sample(kids, len(kids))) for kids in tree.children),
+        tree_id=f"{name}:reordered",
+    )
+    return [permuted, shifted, reordered]
+
+
+def test_root_ids_partition_a_corpus_as_codes_do():
+    rng = random.Random(61)
+    for m, c, seed in ((1, 2, 61), (4, 1, 62), (6, 2, 63), (9, 3, 64), (12, 2, 65), (20, 4, 66)):
+        trees = random_trees(m, 60, c, seed=seed)
+        corpus = trees + [copy for tree in trees for copy in _relabelings(tree, rng)]
+        rng.shuffle(corpus)
+        # some trees carry no id, so their members are their positions
+        corpus = [replace(t, tree_id=None) if rng.random() < 0.2 else t for t in corpus]
+        table = SubtreeTable()
+        groups: dict = {}
+        for position, tree in enumerate(corpus):
+            root = table.intern_tree(tree)[tree.root]
+            member = tree.tree_id if tree.tree_id is not None else str(position)
+            groups.setdefault(root, []).append(member)
+        classes = partition_by_isomorphism(corpus)
+        assert [tuple(members) for members in groups.values()] == [
+            cls.member_ids for cls in classes
+        ]
+        # each class's root id is the root id of its code's prune-step tree
+        assert list(groups) == [table.intern_code(cls.representative).ids[-1] for cls in classes]
+
+
+def _poset_counts(trees):
+    """The classes of a corpus and, per class, the number of trees that
+    contain it, summed over the poset's pairs."""
+    classes = partition_by_isomorphism(trees)
+    counts = [0] * len(classes)
+    for a, b in subtree_poset(classes).below:
+        counts[a] += classes[b].size
+    return classes, counts
+
+
+def _expected_winner(classes, counts, max_order):
+    eligible = [cls.class_id for cls in classes if cls.representative.n <= max_order]
+    top = max(counts[a] for a in eligible)
+    return classes[min(a for a in eligible if counts[a] == top)], top
+
+
+def test_most_representative_matches_counts_over_the_poset():
+    def vertex(color, name):
+        return build_tree([], {0: color}, tree_id=name)
+
+    corpora = [
+        random_trees(m, n, c, seed=seed)
+        for m, n, c, seed in ((3, 40, 2, 71), (5, 80, 1, 72), (7, 120, 3, 73), (10, 90, 2, 74))
+    ]
+    # single-vertex trees alone: every class ties at its own size
+    corpora.append([vertex(color, f"v{k}") for k, color in enumerate([2, 0, 2, 1, 0, 1])])
+    # single vertices beside larger trees, and tied pairs of paths
+    corpora.append(
+        [vertex(3, "lone")]
+        + [build_tree([(0, 1), (1, 2)], {0: a, 1: b, 2: a}, tree_id=f"p{a}{b}") for a, b in
+           ((0, 1), (1, 0), (0, 1), (1, 0))]
+        + random_trees(6, 30, 2, seed=75)
+    )
+    # no tree of order 1, so order bound 1 has no eligible class
+    corpora.append([t for t in random_trees(6, 60, 2, seed=76) if t.n > 1])
+    for trees in corpora:
+        classes, counts = _poset_counts(trees)
+        for max_order in range(1, max(t.n for t in trees) + 1):
+            if all(cls.representative.n > max_order for cls in classes):
+                with pytest.raises(NoEligibleClass):
+                    most_representative(trees, max_order)
+                continue
+            assert most_representative(trees, max_order) == _expected_winner(
+                classes, counts, max_order
+            )

@@ -653,7 +653,7 @@ def test_contained_is_every_id_that_maps_anywhere_in_the_tree():
     ids = range(len(table.kids))
     for tree in trees:
         brute = {q for q in ids if any(fresh.can_map(q, h) for h in tree.ids)}
-        assert table.contained(tree) == brute
+        assert table.contained(tree.firsts) == brute
 
 
 def test_codes_and_edge_sides_share_one_key_space():
