@@ -21,6 +21,7 @@ from .codec import (
     encode,
     encode_canonical,
     prufer_to_edges,
+    prune_labels,
     validate_code,
 )
 from .corpus import (
@@ -86,6 +87,7 @@ __all__ = [
     "parse_corpus",
     "partition_by_isomorphism",
     "prufer_to_edges",
+    "prune_labels",
     "random_corpus",
     "random_trees",
     "reconstruct",

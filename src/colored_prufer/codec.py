@@ -17,8 +17,9 @@ Under other orders, and when decoding, a linear scan needs no heap
 upward, and a vertex freed below the pointer is the least eligible one,
 so it goes next.  There is one scan each way: the upward prune scan
 (``_prune_scan``) serves :func:`encode` and :func:`classical_prufer`,
-and the inverse scan (``_leaf_order``) serves :func:`decode` and
-:func:`prufer_to_edges`.
+and the inverse scan (``_leaf_order``) serves :func:`prufer_to_edges`
+and, as :func:`prune_labels`, :func:`decode` and the matching layer's
+``SubtreeTable.intern_code`` and ``code_adjacent``.
 
 The inverse is a bijection between valid codes and rank-labeled trees,
 so a code is canonical exactly when its decoded tree's labels are the
@@ -198,24 +199,22 @@ def encode_canonical(tree: ColoredArborescence) -> tuple[Vcpc, PruneTrace]:
 def decode(code: Vcpc, strict: bool = False) -> ColoredArborescence:
     """Rebuild the canonically labeled tree whose encoding is ``code``.
 
-    Structure comes from the classical inverse run over labels
-    ``0..n`` (label n standing in for the auxiliary vertex above the
-    root); vertex ``v`` then takes the color recorded at the step where
-    ``v`` was pruned.  A valid code encodes its decoded tree under the
-    identity order, so it re-encodes to itself exactly when the ids are
-    the preorder and every children tuple is in canonical sibling order;
-    ``strict`` rejects the valid codes that fail this.  It checks that in
-    place (:func:`is_canonically_labeled`): each adjacent sibling pair by
-    color, leaf, and the descriptor ``rows[a:b]`` of the first against
-    the window of the same length at the second, which decides because
+    Step i's prune label (:func:`prune_labels`) names the vertex that
+    takes step i's color and hangs below ``parents[i]``.  A valid code
+    encodes its decoded tree under the identity order, so it re-encodes
+    to itself exactly when the ids are the preorder and every children
+    tuple is in canonical sibling order; ``strict`` rejects the valid
+    codes that fail this.  It checks that in place
+    (:func:`is_canonically_labeled`): each adjacent sibling pair by color,
+    leaf, and the descriptor ``rows[a:b]`` of the first against the
+    window of the same length at the second, which decides because
     descriptors are self-delimiting.
     """
     n = code.n
-    sequence = code.parents[:-1]  # valid: no sentinel before the last
     colors = [code.colors[n - 1]] * n  # the root's; the loop sets all others
     children: list[list[int]] = [[] for _ in range(n)]
-    # the inverse never consumes its top label n, the auxiliary vertex
-    for leaf, parent, color in zip(_leaf_order(sequence, n + 1), sequence, code.colors):
+    # zip stops before the root, whose parents entry is the sentinel
+    for leaf, parent, color in zip(prune_labels(code), code.parents[:-1], code.colors):
         colors[leaf] = color
         children[parent].append(leaf)
     for kids in children:
@@ -228,6 +227,15 @@ def decode(code: Vcpc, strict: bool = False) -> ColoredArborescence:
     if strict and not is_canonically_labeled(tree):
         raise InvalidCode("code does not re-encode to itself")
     return tree
+
+
+def prune_labels(code: Vcpc) -> list[int]:
+    """The rank label of the vertex pruned at each step, the root (0)
+    last: the inverse scan over labels ``0..n``, label n standing in for
+    the auxiliary vertex above the root, which it never consumes.  So
+    step ``i``'s parent is pruned at the step whose label is
+    ``parents[i]``.  Linear in n; every valid code has one reading."""
+    return _leaf_order(code.parents[:-1], code.n + 1)
 
 
 # --- classical Prüfer sequences -----------------------------------------------

@@ -17,16 +17,10 @@ takes it.  This is the unordered subtree question of Shamir & Tsur
 (J. Algorithms 1999) for colored rooted trees.
 
 The prune-step tree, which :func:`code_adjacent` also reads: the parent
-of the vertex pruned at step ``a`` is the vertex pruned at the first
-later step whose own parent entry drops below ``parents[a]`` (the
-terminal sentinel counting as smaller than every label).
-
-That reading holds only for codes whose ranks are a depth-first preorder
-of their tree, such as every canonical code.  :func:`validate_code
-<colored_prufer.codec.validate_code>` also accepts a tree's code under
-any other rank order that puts the root first, so the interning scan
-checks the preorder and raises :class:`InvalidCode` on a code off it
-rather than misread it.
+of the vertex pruned at step ``a`` is the vertex pruned at the step whose
+label (:func:`prune_labels <colored_prufer.codec.prune_labels>`, the
+codec's inverse scan) is ``parents[a]``.  That holds for every valid code,
+canonical or not.
 """
 
 from __future__ import annotations
@@ -35,8 +29,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .codec import Vcpc
-from .errors import IndexOutOfRange, InvalidCode, SentinelCompared
+from .codec import Vcpc, prune_labels
+from .errors import IndexOutOfRange, SentinelCompared
 from .trees import ColoredArborescence
 
 # Default of the ignored third argument of subtree_search and
@@ -45,8 +39,6 @@ DEFAULT_CANDIDATE_CAP = 10**6
 
 # The memo row of every id until its first write; never written itself.
 _UNSET: frozenset[int] = frozenset()
-
-_NOT_PREORDER = "code ranks are not a depth-first preorder of its tree"
 
 
 class Rooted(NamedTuple):
@@ -70,18 +62,16 @@ def codes_isomorphic(p: Vcpc, q: Vcpc) -> bool:
 def code_adjacent(p: Vcpc, i: int, j: int) -> bool:
     """Whether the vertex pruned at step j is the parent of the one at step i.
 
-    Both positions must be non-sentinel: ``i < j < n-1``.  The answer is
-    read off the code's interned prune-step tree, so the code must be
-    ranked in depth-first preorder, as canonical codes are;
-    :class:`InvalidCode` is raised for one that is not.  Each call interns
-    the whole code, so it costs O(n); for many questions about one code,
-    read ``SubtreeTable().intern_code(code).kids`` once.
+    Both positions must be non-sentinel: ``i < j < n-1``.  It is when
+    step j's prune label is step i's parents entry.  Each call runs the
+    inverse scan, so it costs O(n); for many questions about one code,
+    read :func:`prune_labels <colored_prufer.codec.prune_labels>` once.
     """
     if j == p.n - 1:
         raise SentinelCompared("position n-1 holds the sentinel, not a parent label")
     if not 0 <= i < j < p.n - 1:
         raise IndexOutOfRange(f"need 0 <= i < j < n-1, got i={i}, j={j}, n={p.n}")
-    return i in SubtreeTable().intern_code(p).kids[j]
+    return prune_labels(p)[j] == p.parents[i]
 
 
 # --- exact decider ----------------------------------------------------------
@@ -156,9 +146,9 @@ class SubtreeTable:
 
     def _new(self, key: tuple[int, tuple[int, ...]], size: int = 0) -> int:
         """Make the id of a key not interned yet, its child ids sorted.
-        A caller that knows the key's size passes it, as every prune step
-        does and a leaf, a unary key or a rerooted side of an edge; otherwise
-        it is summed here."""
+        A caller that knows the key's size passes it, as for a leaf, a
+        unary key or a rerooted side of an edge; otherwise it is summed
+        here."""
         sid = len(self.size)
         self._ids[key] = sid
         self.color.append(key[0])
@@ -169,56 +159,24 @@ class SubtreeTable:
         return sid
 
     def intern_code(self, code: Vcpc) -> Rooted:
-        """Intern a code's prune-step tree in one monotonic-stack scan:
-        a step's parent is pruned at its next smaller parents entry (the
-        sentinel counting as -1), so its children are the steps it pops.
-        A unary step pops just the top.
-
-        That reading holds only for codes ranked in depth-first preorder,
-        so the same scan checks it and raises :class:`InvalidCode` where
-        it fails: the children a step pops share one parents entry r, the
-        step's rank, and each child with children of its own has rank r+1
-        plus the sizes of the children before it."""
+        """Intern a code's prune-step tree in one pass over its prune
+        labels: a step's children are the earlier steps whose parents
+        entry is its label, listed per label as the pass goes."""
         parents, colors = code.parents, code.colors
         known, new, size = self._ids, self._new, self.size
         ids: list[int] = []
         kids: list[Sequence[int]] = []
         firsts: dict[int, int] = {}
-        stack: list[int] = []  # steps whose parent is not pruned yet
-        top = -1  # the parents entry of the step on top of the stack
-        for step, value in enumerate(parents):
-            if value is None:
-                value = -1
-            if top <= value:
-                mine = ()
-                key = (colors[step], ())
-                grown = 1
-            elif len(stack) < 2 or parents[stack[-2]] <= value:
-                child = stack.pop()
-                below = kids[child]
-                if below and parents[below[0]] != top + 1:
-                    raise InvalidCode(_NOT_PREORDER)
-                mine = [child]
-                key = (colors[step], (ids[child],))
-                grown = size[ids[child]] + 1
+        below: list[Sequence[int]] = [()] * code.n  # child steps per label
+        for step, label in enumerate(prune_labels(code)):
+            mine = below[label]
+            if not mine:
+                key, grown = (colors[step], ()), 1
+            elif len(mine) == 1:
+                d = ids[mine[0]]
+                key, grown = (colors[step], (d,)), size[d] + 1
             else:
-                k = len(stack) - 2
-                while k and parents[stack[k - 1]] > value:
-                    k -= 1
-                mine = stack[k:]
-                del stack[k:]
-                # the stack's entries never decrease upward, so the children
-                # share one entry when the first and the last (top) do
-                rank = parents[mine[0]]
-                if rank != top:
-                    raise InvalidCode(_NOT_PREORDER)
-                grown = 1
-                for child in mine:
-                    below = kids[child]
-                    if below and parents[below[0]] != rank + grown:
-                        raise InvalidCode(_NOT_PREORDER)
-                    grown += size[ids[child]]
-                key = (colors[step], tuple(sorted(map(ids.__getitem__, mine))))
+                key, grown = (colors[step], tuple(sorted([ids[c] for c in mine]))), 0
             sid = known.get(key)
             if sid is None:
                 sid = new(key, grown)
@@ -226,8 +184,12 @@ class SubtreeTable:
             kids.append(mine)
             if sid not in firsts:
                 firsts[sid] = step
-            stack.append(step)
-            top = value
+            value = parents[step]
+            if value is not None:
+                if below[value]:
+                    below[value].append(step)
+                else:
+                    below[value] = [step]
         return Rooted(ids, kids, firsts)
 
     def intern_tree(
@@ -457,9 +419,9 @@ class SubtreeTable:
         caller that has found that host id passes it as ``at``.
 
         Children take the first host child they map onto where that
-        leaves a matching for the rest.  Under two steps of equal id
-        that is position by position, memo or not: in canonical codes
-        both list the same child ids in the same prune order.
+        leaves a matching for the rest.  In canonical codes, under two
+        steps of equal id that is position by position, memo or not: both
+        list the same child ids in the same prune order.
         """
         q_ids, q_kids = query.ids, query.kids
         h_ids, h_kids = host.ids, host.kids
@@ -513,9 +475,8 @@ def subtree_search(
     vertex takes it.  ``candidates_examined`` counts the distinct subtrees
     of p tried as the image of pq's root after the color, size and
     out-degree filters.  ``candidate_cap`` is accepted for compatibility
-    and ignored: the decider needs no cap.  Both codes must be ranked in
-    depth-first preorder, as canonical codes are; :class:`InvalidCode`
-    is raised for one that is not.
+    and ignored: the decider needs no cap.  Any valid codes will do,
+    canonical or not.
     """
     if pq.n > p.n:
         return SubtreeResult(None, 0)

@@ -25,6 +25,7 @@ from colored_prufer import (
     encode,
     encode_canonical,
     prufer_to_edges,
+    prune_labels,
     validate_code,
 )
 from colored_prufer.canonical import is_canonically_labeled, sorted_siblings
@@ -285,6 +286,18 @@ def _random_root_first_order(tree, rng):
     rest = [v for v in range(tree.n) if v != tree.root]
     rng.shuffle(rest)
     return _rank_order([tree.root, *rest])
+
+
+def test_prune_labels_are_the_ranks_of_the_pruned_vertices():
+    # the inverse scan reads back, step by step, the rank of the vertex
+    # the encoder pruned, under the canonical order and under random
+    # root-first orders, most of which are no depth-first preorder
+    rng = random.Random(43)
+    for t in _one_traversal_cases():
+        orders = [_random_root_first_order(t, rng) for _ in range(3)]
+        for order in (canonical_order(t), *orders):
+            code, trace = encode(t, order)
+            assert prune_labels(code) == [order.phi[v] for v in trace.pruned]
 
 
 def test_decode_strict_accepts_exactly_the_codes_that_re_encode_to_themselves():
