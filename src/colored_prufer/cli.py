@@ -172,9 +172,8 @@ def cmd_bench(args) -> int:
     t0 = time.perf_counter()
     classes = corpus_mod.partition_by_isomorphism(trees)
     t1 = time.perf_counter()
-    poset = corpus_mod.subtree_poset(classes)
+    code_relation = {(a, b) for a, b, _ in corpus_mod.poset_pairs(classes)}
     t2 = time.perf_counter()
-    code_relation = poset.relation()
 
     t3 = time.perf_counter()
     oracle_classes: dict[tuple, list[int]] = {}

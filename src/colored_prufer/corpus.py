@@ -78,7 +78,7 @@ def _sweep(classes: Sequence[IsoClass]) -> tuple[SubtreeTable, list[Rooted], lis
         at.setdefault(tree.ids[-1], []).append(i)
     above: list[list[int]] = [[] for _ in classes]
     for j, tree in enumerate(rooted):
-        for q in at.keys() & table.contained(tree.firsts):
+        for q in at.keys() & table.contained(set(tree.ids)):
             for i in at[q]:
                 above[i].append(j)
     return table, rooted, above
@@ -114,7 +114,9 @@ def most_representative(
     and members included.  The count for class A sums the sizes of every
     class whose first tree contains A's, A itself included, read from one
     sweep of the table.  Ties favor the smaller class id.  Only the
-    winner's first tree is encoded, for its representative.
+    winner's first tree is encoded, for its representative.  Raises
+    :class:`~colored_prufer.errors.NoEligibleClass` when the corpus has no
+    trees or no class is small enough.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
@@ -125,6 +127,8 @@ def most_representative(
         down = table.intern_tree(tree)
         member = tree.tree_id if tree.tree_id is not None else str(position)
         groups.setdefault(down[tree.root], (tree, down, []))[2].append(member)
+    if not groups:
+        raise NoEligibleClass("the corpus has no trees")
     eligible = {root: k for k, root in enumerate(groups) if table.size[root] <= max_order}
     if not eligible:
         raise NoEligibleClass(

@@ -108,4 +108,5 @@ class SearchBudgetExceeded(ColoredPruferError, RuntimeError):
 # --- corpus ------------------------------------------------------------------
 
 class NoEligibleClass(ColoredPruferError, LookupError):
-    """No isomorphism class satisfies the query's size bound."""
+    """The corpus has no trees, or no isomorphism class satisfies the
+    query's size bound."""

@@ -45,13 +45,11 @@ class Rooted(NamedTuple):
     """A code's prune-step tree interned into a :class:`SubtreeTable`.
 
     Per prune step (children before parents, the root last): its subtree
-    id and its child steps; ``firsts`` maps each distinct id to the first
-    step that has it.
+    id and its child steps.
     """
 
     ids: list[int]
     kids: list[Sequence[int]]
-    firsts: dict[int, int]
 
 
 def codes_isomorphic(p: Vcpc, q: Vcpc) -> bool:
@@ -166,7 +164,6 @@ class SubtreeTable:
         known, new, size = self._ids, self._new, self.size
         ids: list[int] = []
         kids: list[Sequence[int]] = []
-        firsts: dict[int, int] = {}
         below: list[Sequence[int]] = [()] * code.n  # child steps per label
         for step, label in enumerate(prune_labels(code)):
             mine = below[label]
@@ -182,15 +179,13 @@ class SubtreeTable:
                 sid = new(key, grown)
             ids.append(sid)
             kids.append(mine)
-            if sid not in firsts:
-                firsts[sid] = step
             value = parents[step]
             if value is not None:
                 if below[value]:
                     below[value].append(step)
                 else:
                     below[value] = [step]
-        return Rooted(ids, kids, firsts)
+        return Rooted(ids, kids)
 
     def intern_tree(
         self, tree: ColoredArborescence, order: list[int] | None = None
@@ -270,14 +265,6 @@ class SubtreeTable:
         else:
             memo[h].add(q)
 
-    def _fits(self, q: int, h: int) -> bool:
-        """Whether color, size and out-degree let q map onto h."""
-        return (
-            self.color[q] == self.color[h]
-            and self.size[q] <= self.size[h]
-            and len(self.kids[q]) <= len(self.kids[h])
-        )
-
     def _edges(
         self, qs: Sequence[int], hs: Sequence[int]
     ) -> tuple[list[list[int]], list[tuple[int, int]]]:
@@ -313,44 +300,27 @@ class SubtreeTable:
     def can_map(self, q: int, h: int) -> bool:
         """Whether subtree ``q`` embeds in subtree ``h`` with root on root.
 
-        Undecided child pairs are decided first, deepest first, on an
-        explicit stack, so the depth of the trees does not matter.
+        One rule decides every pair: its undecided child pairs first,
+        deepest first, on an explicit stack, so the depth of the trees
+        does not matter; then a matching of its children by known pairs.
         """
-        fits, known, record = self._fits, self._known, self._record
-        if not fits(q, h):
-            return False
-        kids = self.kids
+        color, size, kids = self.color, self.size, self.kids
+        if color[q] != color[h] or size[q] > size[h] or len(kids[q]) > len(kids[h]):
+            return False  # color, size or out-degree rules it out
+        known, record = self._known, self._record
         stack = [(q, h)]
         while stack:
             a, b = stack[-1]
             if known(a, b) is not None:
                 stack.pop()
                 continue
-            ka, kb = kids[a], kids[b]
-            if len(ka) == 1 == len(kb):
-                # Unary on both sides: the pair maps exactly when its child
-                # pair does.  Walk down to the first child pair that is
-                # decided, filtered out or not unary on both sides.
-                chain = [(a, b)]
-                x, y = ka[0], kb[0]
-                while fits(x, y) and known(x, y) is None and len(kids[x]) == 1 == len(kids[y]):
-                    chain.append((x, y))
-                    x, y = kids[x][0], kids[y][0]
-                mapped = fits(x, y) and known(x, y)
-                if mapped is None:
-                    stack.append((x, y))
-                    continue
-                for x, y in chain:
-                    record(x, y, mapped)
-                stack.pop()
-                continue
-            rows, pending = self._edges(ka, kb)
+            rows, pending = self._edges(kids[a], kids[b])
             if pending:
                 stack.extend(pending)
                 continue
             stack.pop()
             # every child pair is decided: match the children by known pairs
-            record(a, b, all(rows) and _cover_left(rows, len(kb)) is not None)
+            record(a, b, all(rows) and _cover_left(rows, len(kids[b])) is not None)
         return known(q, h) is True
 
     def sweep(self) -> None:
@@ -415,8 +385,8 @@ class SubtreeTable:
 
     def witness(self, query: Rooted, host: Rooted, at: int | None = None) -> tuple[int, ...]:
         """Host step per query step, the query's root on the first host
-        step, in ``firsts`` order, whose id it is known to map onto; a
-        caller that has found that host id passes it as ``at``.
+        step whose id it is known to map onto; a caller that has found
+        that host step passes it as ``at``.
 
         Children take the first host child they map onto where that
         leaves a matching for the rest.  In canonical codes, under two
@@ -429,12 +399,12 @@ class SubtreeTable:
         image = [0] * len(q_ids)
         if at is None:
             root = q_ids[-1]
-            for at in host.firsts:
-                if root == at or root in yes[at]:
+            for at, h in enumerate(h_ids):
+                if root == h or root in yes[h]:
                     break
             else:
                 raise ValueError("the query root maps onto no host subtree")
-        stack = [(len(q_ids) - 1, host.firsts[at])]
+        stack = [(len(q_ids) - 1, at)]
         while stack:
             a, b = stack.pop()
             image[a] = b
@@ -492,17 +462,17 @@ def subtree_search(
         i = j
     table = SubtreeTable()
     query, host = table.intern_code(pq), table.intern_code(p)
-    # the candidate filter is _fits, inlined: one method call per host
-    # subtree costs the long path queries a few percent
+    # can_map's entry check, inlined: one method call per host subtree
+    # costs the long path queries a few percent
     root = query.ids[-1]
     color, size, kids = table.color, table.size, table.kids
     c, s, d = color[root], size[root], len(kids[root])
     tried = 0
-    for sid in host.firsts:
+    for sid in dict.fromkeys(host.ids):
         if color[sid] == c and size[sid] >= s and len(kids[sid]) >= d:
             tried += 1
             if table.can_map(root, sid):
-                return SubtreeResult(table.witness(query, host, sid), tried)
+                return SubtreeResult(table.witness(query, host, host.ids.index(sid)), tried)
     return SubtreeResult(None, tried)
 
 

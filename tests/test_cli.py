@@ -320,6 +320,8 @@ def test_most_common_and_empty_result(cli):
     assert record["count"] == 2 and record["code"]["n"] == 2
     code, _, err = cli(["most-common", "--max-order", "1"], p3 + p2)
     assert code == 4 and err == "error: no class representative has at most 1 vertices\n"
+    for text in ("", "\n\n"):
+        assert cli(["most-common"], text) == (4, "", "error: the corpus has no trees\n")
 
 
 def test_subtree_files(cli, tmp_path):

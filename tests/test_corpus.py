@@ -334,7 +334,7 @@ def test_most_representative_tie_ignores_list_order():
 def test_most_representative_no_eligible_class():
     with pytest.raises(NoEligibleClass):
         most_representative([vcpc_build_tree()], max_order=4)
-    with pytest.raises(NoEligibleClass, match="no class representative has at most 4 vertices"):
+    with pytest.raises(NoEligibleClass, match="the corpus has no trees"):
         most_representative([], max_order=4)
 
 

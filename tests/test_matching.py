@@ -558,8 +558,8 @@ def _colored_path(colors):
 
 
 def test_two_colored_long_paths_match_the_substring_closed_form():
-    # distinct subtree ids all along both paths, so the unary chain walks
-    # them instead of the equal-id shortcut deciding at once
+    # distinct subtree ids all along both paths, so can_map decides them
+    # pair by pair instead of the equal-id shortcut deciding at once
     rng = random.Random(62)
     host_colors = [rng.randrange(2) for _ in range(1500)]
     start = rng.randrange(1500 - 900 + 1)
@@ -579,6 +579,29 @@ def test_two_colored_long_paths_match_the_substring_closed_form():
         assert undirected == (word in text or word[::-1] in text)
         verdicts.append((witness is not None, undirected))
     assert verdicts[0] == (True, True) and verdicts[-1] == (False, False)
+
+
+def _alternating(n, first):
+    return _colored_path([(first + v) % 2 for v in range(n)])
+
+
+def test_long_alternating_path_in_shifted_one_with_witness():
+    # both long unary chains have distinct ids, and no query id equals a
+    # host id, so no equal-id shortcut decides any pair along them
+    host = _alternating(1500, 1)
+    query = _alternating(1200, 0)
+    witness = is_subarborescence(_code(query), _code(host))
+    assert witness is not None and _witness_is_sound(_code(query), host, witness)
+    assert all(b == a + 1 for a, b in zip(witness, witness[1:]))
+    assert undirected_subtree(query, host)
+    # as large as the host and alternating 0, 1: it fits only read backwards
+    same = _alternating(1500, 0)
+    assert is_subarborescence(_code(same), _code(host)) is None
+    assert undirected_subtree(same, host)
+    for q, h in ((30, 40), (40, 40)):
+        small, large = _alternating(q, 0), _alternating(h, 1)
+        found = is_subarborescence(_code(small), _code(large)) is not None
+        assert found == has_embedding(small, large) == (q < h)
 
 
 def test_edges_rows_and_pending_pairs_on_a_hand_built_table():
@@ -650,7 +673,7 @@ def test_contained_is_every_id_that_maps_anywhere_in_the_tree():
     ids = range(len(table.kids))
     for tree in trees:
         brute = {q for q in ids if any(fresh.can_map(q, h) for h in tree.ids)}
-        assert table.contained(tree.firsts) == brute
+        assert table.contained(set(tree.ids)) == brute
 
 
 def test_codes_and_edge_sides_share_one_key_space():
