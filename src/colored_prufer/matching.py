@@ -25,7 +25,7 @@ canonical or not.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -212,17 +212,19 @@ class SubtreeTable:
             down[v] = new(key, grown) if sid is None else sid
         return down
 
-    def intern_sides(self, tree: ColoredArborescence) -> tuple[list[int], list[int]]:
-        """Subtree ids of both sides of every edge, by one rerooting pass.
+    def intern_up(
+        self, tree: ColoredArborescence, down: list[int], order: Sequence[int]
+    ) -> list[int]:
+        """Subtree ids of the parent's side of the edges below ``order``.
 
-        ``down[v]`` is v's side of the edge to its parent, rooted at v, as
-        :meth:`intern_tree` gives it; ``up[v]`` is the parent's side, rooted
-        at the parent (-1 at the root).  At each vertex the ids outside it
-        are sorted once, and each distinct child id gets one up-id: that
-        list less one copy of the child's id.
+        ``up[v]`` is the side of the edge to v's parent that holds the
+        parent, rooted there (-1 where not made); ``down`` is
+        :meth:`intern_tree`'s result.  ``order`` lists parents before
+        their children: the whole ``bfs_order`` for every edge, or one
+        root-to-vertex path for the edges hanging off it.  At each vertex
+        the ids outside it are sorted once, and each distinct child id
+        gets one up-id: that list less one copy of the child's id.
         """
-        order = tree.bfs_order()
-        down = self.intern_tree(tree, order)
         colors, children, n = tree.colors, tree.children, tree.n
         known, new, size = self._ids, self._new, self.size
         # an up side holds every vertex outside the child's down side
@@ -249,7 +251,7 @@ class SubtreeTable:
                     sid = known.get(key)
                     made[d] = new(key, n - size[d]) if sid is None else sid
                 up[c] = made[d]
-        return down, up
+        return up
 
     def _known(self, q: int, h: int) -> bool | None:
         """Whether q maps onto h root on root, or ``None`` if undecided.
@@ -428,6 +430,17 @@ class SubtreeTable:
 # --- entry points -------------------------------------------------------------
 
 
+def _colors_fit(want: tuple[int, ...], have: tuple[int, ...]) -> bool:
+    """Whether ``have`` holds every color as often as ``want`` does, which
+    an injective, color-preserving map needs.  Past 8 distinct colors a
+    count pass per color would be quadratic, so both rows are counted once."""
+    distinct = set(want)
+    if len(distinct) <= 8:
+        return all(want.count(c) <= have.count(c) for c in distinct)
+    counts = Counter(have)
+    return all(counts[c] >= k for c, k in Counter(want).items())
+
+
 @dataclass(frozen=True)
 class SubtreeResult:
     witness: tuple[int, ...] | None
@@ -448,18 +461,8 @@ def subtree_search(
     and ignored: the decider needs no cap.  Any valid codes will do,
     canonical or not.
     """
-    if pq.n > p.n:
+    if pq.n > p.n or not _colors_fit(pq.colors, p.colors):
         return SubtreeResult(None, 0)
-    # color-count dominance: sort both color rows, then count each run of
-    # the query's colors in the host's by bisection
-    want, have = sorted(pq.colors), sorted(p.colors)
-    i = 0
-    while i < len(want):
-        c = want[i]
-        j = bisect_right(want, c, i)
-        if bisect_right(have, c) - bisect_left(have, c) < j - i:
-            return SubtreeResult(None, 0)
-        i = j
     table = SubtreeTable()
     query, host = table.intern_code(pq), table.intern_code(p)
     # can_map's entry check, inlined: one method call per host subtree
@@ -499,24 +502,38 @@ def undirected_subtree(
     x away from x, g onto z.  So the test is whether, for some directed
     edge (x, z) of t2 with x colored like f, the side of z takes t1's side
     of g, root on root.  Both trees' sides are interned into one table.
+
+    The checks run cheapest first.  Color counts come first.  Of t1 only
+    g's side is built: f is the root when it has one child, and otherwise
+    the leaf reached through first children, so the up rule runs along
+    the path to g alone.  Of t2 the down sides come next, and one equal
+    to the query side decides at once.  Only then are t2's up sides
+    built, and every side is tried with ``can_map``.
     ``candidate_cap`` is accepted for compatibility and ignored.
     """
-    if t1.n > t2.n:
+    if t1.n > t2.n or not _colors_fit(t1.colors, t2.colors):
         return False
     if t1.n == 1:
-        return t1.colors[0] in t2.colors
+        return True
     table = SubtreeTable()
-    down, up = table.intern_sides(t1)
-    if len(t1.children[t1.root]) == 1:
-        f = t1.root
-        query = down[t1.children[f][0]]
+    down = table.intern_tree(t1)
+    f, kids = t1.root, t1.children
+    if len(kids[f]) == 1:
+        query = down[kids[f][0]]
     else:
-        f = next(v for v in range(t1.n) if not t1.children[v])
-        query = up[f]
-    down, up = table.intern_sides(t2)
-    parent = t2.parent_map()
+        path = []
+        while kids[f]:
+            path.append(f)
+            f = kids[f][0]
+        query = table.intern_up(t1, down, path)[f]
     color = t1.colors[f]
-    hosts = {down[v] for v in range(t2.n) if v != t2.root and t2.colors[parent[v]] == color}
-    hosts.update(up[v] for v in range(t2.n) if v != t2.root and t2.colors[v] == color)
+    order = t2.bfs_order()
+    down = table.intern_tree(t2, order)
+    colors, children = t2.colors, t2.children
+    hosts = {down[z] for x in range(t2.n) if colors[x] == color for z in children[x]}
+    if query in hosts:
+        return True
+    up = table.intern_up(t2, down, order)
+    hosts.update(up[x] for x in range(t2.n) if colors[x] == color and x != t2.root)
     # the same side in both trees maps at once, without a call per host
     return query in hosts or any(table.can_map(query, h) for h in hosts)

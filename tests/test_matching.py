@@ -492,6 +492,15 @@ def test_undirected_matches_all_rootings_oracle_on_repeated_siblings():
     hosts += [_star([0] * 9), _star([0] * 6 + [1] * 2)]
     queries = random_trees(6, 40, 2, seed=37) + [_star([0] * k) for k in (3, 6, 9)]
     queries += [_repeats(2, seed, 0) for seed in range(3)]
+    # a query side equal to a host's down side: one piece under a root of
+    # the color of the hosts' roots over copies of that piece
+    queries += [_join(0, [random_trees(4, 2, 2, seed=seed)[0]]) for seed in (0, 2, 4)]
+    # sizes allow it, but the star host has two leaves of color 1, not three
+    queries.append(_star([1] * 3))
+    # down sides at color-0 parents exist (the 5 below the 0), but only the
+    # up side 1, 2, 3 takes the query's side 1, 2
+    hosts.append(_colored_path([3, 2, 1, 0, 5]))
+    queries.append(_colored_path([0, 1, 2]))
     checked = positive = 0
     for host in hosts:
         rootings = [_reroot(host, r) for r in range(host.n)]
@@ -678,16 +687,26 @@ def test_contained_is_every_id_that_maps_anywhere_in_the_tree():
 
 def test_codes_and_edge_sides_share_one_key_space():
     """A code's prune steps and a tree's rerooted sides intern to the same
-    ids, and each id's size row is its vertex count, whichever made it."""
+    ids, and each id's size row is its vertex count, whichever made it.
+    The up rule along the path to a leaf's parent gives that leaf the id
+    the full up pass gives it."""
     trees = [t for c in (1, 2, 3) for t in random_trees(10, 60, c, seed=60 + c)]
     for tree, code_first in itertools.product(trees + [_path(1500), _broom(6, 40)], (True, False)):
         table = SubtreeTable()
         if code_first:
             rooted = table.intern_code(_code(tree))
-        down, _ = table.intern_sides(tree)
+        order = tree.bfs_order()
+        down = table.intern_tree(tree, order)
+        up = table.intern_up(tree, down, order)
         if not code_first:
             rooted = table.intern_code(_code(tree))
         assert rooted.ids[-1] == down[tree.root]
+        parent = tree.parent_map()
+        for leaf in (v for v in range(tree.n) if v != tree.root and not tree.children[v]):
+            path = [parent[leaf]]
+            while path[-1] != tree.root:
+                path.append(parent[path[-1]])
+            assert table.intern_up(tree, down, path[::-1])[leaf] == up[leaf]
         rows = (table.color, table.kids, table.size, table._yes, table._no)
         assert len(set(map(len, rows))) == 1
         for i, kids in enumerate(table.kids):
