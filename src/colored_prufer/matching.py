@@ -25,7 +25,7 @@ canonical or not.
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -432,13 +432,17 @@ class SubtreeTable:
 
 def _colors_fit(want: tuple[int, ...], have: tuple[int, ...]) -> bool:
     """Whether ``have`` holds every color as often as ``want`` does, which
-    an injective, color-preserving map needs.  Past 8 distinct colors a
-    count pass per color would be quadratic, so both rows are counted once."""
-    distinct = set(want)
-    if len(distinct) <= 8:
-        return all(want.count(c) <= have.count(c) for c in distinct)
-    counts = Counter(have)
-    return all(counts[c] >= k for c, k in Counter(want).items())
+    an injective, color-preserving map needs.  Both rows are sorted, and
+    each run of a query color is counted in the host's row by bisection."""
+    want, have = sorted(want), sorted(have)
+    i = 0
+    while i < len(want):
+        c = want[i]
+        j = bisect_right(want, c, i)
+        if bisect_right(have, c) - bisect_left(have, c) < j - i:
+            return False
+        i = j
+    return True
 
 
 @dataclass(frozen=True)
