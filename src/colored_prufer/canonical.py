@@ -6,9 +6,16 @@ sequence of its sorted children followed by the concatenated descriptors
 of those children.  Arrays compare lexicographically with the
 shorter-strict-prefix rule, which is Python's tuple ordering.
 
-Computing the order materializes no descriptor.  Bottom-up, every vertex
-gets an interned id, hash-consed on the child colors plus the child ids
-of its sorted children, so equal ids mean equal descriptors.  Two
+Computing the order materializes no descriptor, and most trees build
+no descriptor id either.  A leaf's descriptor ``((),)`` is the least, so
+within a color a leaf sorts first and leaves tie in full: the descriptor
+decides only between two same-colored siblings that both have children.
+One pass sorts every family by color, a leaf first within a color, and
+notes the families holding such a pair.  Only when one exists are ids
+built: bottom-up, every inner vertex gets an interned id, hash-consed on
+the child colors plus the child ids of its sorted children, so equal ids
+mean equal descriptors, and the noted families re-sort their
+same-colored runs by id before their parents' ids are built.  Two
 same-colored siblings with different ids compare by walking one chain:
 their child-color arrays first, and when those are equal, the first pair
 of differing child ids.  This equals tuple order on the descriptors
@@ -57,12 +64,56 @@ class CanonicalOrder:
     inverse: tuple[VertexId, ...]
 
 
-def sorted_siblings(tree: ColoredArborescence):
-    """Sorted children and their colors, by one bottom-up pass.
+def sorted_siblings(tree: ColoredArborescence) -> list[tuple[VertexId, ...]]:
+    """Children in canonical order: ``sorted_children[v]`` lists the
+    children of ``v`` by ascending (color, descriptor), fully tied ones
+    in stored order.
 
-    ``sorted_children[v]`` lists the children of ``v`` in ascending
-    (color, descriptor) order and ``child_colors[v]`` their colors.
+    One pass sorts every family by color, a leaf first within a color,
+    which leaves only two same-colored inner siblings undecided.  Only
+    when some family holds such a pair are descriptor ids built, by
+    :func:`_break_ties`; a tree without one, such as a path or a
+    caterpillar whose legs are leaves, builds none.
     """
+    colors, children = tree.colors, tree.children
+
+    def rank(c: VertexId) -> int:
+        return 2 * colors[c] + (len(children[c]) > 0)
+
+    sorted_children = list(children)
+    tied: list[VertexId] = []  # families with two same-colored inner children
+    for v, kids in enumerate(children):
+        if len(kids) < 2:
+            continue
+        # Most families have two children: a swap orders them, no sort.
+        if len(kids) == 2:
+            a, b = kids
+            if colors[a] == colors[b]:
+                if children[a]:
+                    if children[b]:
+                        tied.append(v)
+                    else:
+                        sorted_children[v] = (b, a)
+            elif colors[a] > colors[b]:
+                sorted_children[v] = (b, a)
+        else:
+            kids = sorted_children[v] = tuple(sorted(kids, key=rank))
+            last = rank(kids[0])
+            for c in kids[1:]:
+                r = rank(c)
+                if r == last and r & 1:  # two inner children of one color
+                    tied.append(v)
+                    break
+                last = r
+    if tied:
+        _break_ties(tree, sorted_children, set(tied))
+    return sorted_children
+
+
+def _break_ties(tree: ColoredArborescence, sorted_children: list, tied: set) -> None:
+    """Re-sort the ``tied`` families by (color, descriptor) in place,
+    bottom-up, so that a tie nested lower is resolved before the ids
+    above it are built."""
     colors = tree.colors
     color_of = colors.__getitem__
     ident = [0] * tree.n  # interned descriptor id per vertex; leaves are 0
@@ -72,7 +123,7 @@ def sorted_siblings(tree: ColoredArborescence):
     kid_keys: list[tuple[int, ...]] = [()]  # per id: child colors + child ids
 
     def compare_ids(a: int, b: int) -> int:
-        while True:
+        while a != b:
             colors_a, colors_b = kid_colors[a], kid_colors[b]
             if colors_a != colors_b:
                 return -1 if colors_a < colors_b else 1
@@ -81,40 +132,29 @@ def sorted_siblings(tree: ColoredArborescence):
                 if x != y:
                     a, b = x, y
                     break
+        return 0
 
-    def compare_vertices(u: VertexId, v: VertexId) -> int:
-        if colors[u] != colors[v]:
-            return -1 if colors[u] < colors[v] else 1
-        if ident[u] == ident[v]:
-            return 0
-        return compare_ids(ident[u], ident[v])
-
-    sorted_children = list(tree.children)
-    child_colors: list[tuple[Color, ...]] = [()] * tree.n
+    by_id = cmp_to_key(compare_ids)
     for v in reversed(tree.bfs_order()):
         kids = sorted_children[v]
         if not kids:
             continue
-        # Most inner vertices have one or two children; only larger
-        # families go through cmp_to_key.
         if len(kids) == 1:
             c = kids[0]
-            arrays = child_colors[v] = (colors[c],)
+            arrays = (colors[c],)
             key = (colors[c], ident[c])
         else:
-            if len(kids) == 2:
-                a, b = kids
-                if colors[a] > colors[b] or (
-                    colors[a] == colors[b]
-                    and ident[a] != ident[b]
-                    and compare_ids(ident[a], ident[b]) > 0
-                ):
-                    kids = sorted_children[v] = (b, a)
-            else:
-                kids = sorted_children[v] = tuple(
-                    sorted(kids, key=cmp_to_key(compare_vertices))
-                )
-            arrays = child_colors[v] = tuple(map(color_of, kids))
+            if v in tied:
+                if len(kids) == 2:
+                    a, b = kids
+                    if ident[a] != ident[b] and compare_ids(ident[a], ident[b]) > 0:
+                        kids = sorted_children[v] = (b, a)
+                else:
+                    # only same-colored runs move: the family is in color order
+                    kids = sorted_children[v] = tuple(
+                        sorted(kids, key=lambda c: (colors[c], by_id(ident[c])))
+                    )
+            arrays = tuple(map(color_of, kids))
             key = arrays + tuple(map(id_of, kids))
         found = interned.get(key)
         if found is None:
@@ -122,7 +162,6 @@ def sorted_siblings(tree: ColoredArborescence):
             kid_colors.append(arrays)
             kid_keys.append(key)
         ident[v] = found
-    return sorted_children, child_colors
 
 
 def is_canonically_labeled(tree: ColoredArborescence) -> bool:
@@ -204,14 +243,28 @@ def full_ld_array(tree: ColoredArborescence) -> LdArray:
     Unlike the plain descriptor this determines the colored tree up to
     isomorphism, because the root color is no longer omitted.
     """
-    sorted_children, child_colors = sorted_siblings(tree)
-    inverse = _preorder(tree, sorted_children)
-    return ((tree.colors[tree.root],),) + tuple(map(child_colors.__getitem__, inverse))
+    sorted_children = sorted_siblings(tree)
+    colors = tree.colors
+    color_of = colors.__getitem__
+    # the rows in canonical preorder, by the walk of _preorder
+    rows = [(colors[tree.root],)]
+    stack = [tree.root]
+    while stack:
+        kids = sorted_children[stack.pop()]
+        if len(kids) == 1:
+            rows.append((colors[kids[0]],))
+            stack.append(kids[0])
+        elif kids:
+            rows.append(tuple(map(color_of, kids)))
+            stack += kids[::-1]
+        else:
+            rows.append(())
+    return tuple(rows)
 
 
 def canonical_order(tree: ColoredArborescence) -> CanonicalOrder:
     """Depth-first ranks with children visited in sorted descriptor order."""
-    inverse = _preorder(tree, sorted_siblings(tree)[0])
+    inverse = _preorder(tree, sorted_siblings(tree))
     return CanonicalOrder(phi=tuple(_ranks(inverse)), inverse=tuple(inverse))
 
 
@@ -221,7 +274,7 @@ def canonicalize(tree: ColoredArborescence) -> ColoredArborescence:
     In the result, children tuples are ascending both by id and by
     canonical sibling order, and the root is vertex 0.
     """
-    sorted_children, _ = sorted_siblings(tree)
+    sorted_children = sorted_siblings(tree)
     inverse = _preorder(tree, sorted_children)
     phi = _ranks(inverse)
     children = tuple(tuple(phi[c] for c in sorted_children[v]) for v in inverse)

@@ -163,7 +163,7 @@ def _prune_scan(
 def encode_canonical(tree: ColoredArborescence) -> tuple[Vcpc, PruneTrace]:
     """``encode(tree, canonical_order(tree))`` by one traversal that
     ranks each vertex on the way down and prunes it on the way up."""
-    sorted_children = sorted_siblings(tree)[0]
+    sorted_children = sorted_siblings(tree)
     rank = [0] * tree.n
     pruned: list[VertexId] = []
     parent_of: list[VertexId | None] = []

@@ -512,7 +512,8 @@ def undirected_subtree(
     the leaf reached through first children, so the up rule runs along
     the path to g alone.  Of t2 the down sides come next, and one equal
     to the query side decides at once.  Only then are t2's up sides
-    built, and every side is tried with ``can_map``.
+    built, and every side is tried with ``can_map``, in order of first
+    appearance, down sides first.
     ``candidate_cap`` is accepted for compatibility and ignored.
     """
     if t1.n > t2.n or not _colors_fit(t1.colors, t2.colors):
@@ -534,10 +535,11 @@ def undirected_subtree(
     order = t2.bfs_order()
     down = table.intern_tree(t2, order)
     colors, children = t2.colors, t2.children
-    hosts = {down[z] for x in range(t2.n) if colors[x] == color for z in children[x]}
+    hosts = [down[z] for x in range(t2.n) if colors[x] == color for z in children[x]]
     if query in hosts:
         return True
     up = table.intern_up(t2, down, order)
-    hosts.update(up[x] for x in range(t2.n) if colors[x] == color and x != t2.root)
-    # the same side in both trees maps at once, without a call per host
-    return query in hosts or any(table.can_map(query, h) for h in hosts)
+    hosts += [up[x] for x in range(t2.n) if colors[x] == color and x != t2.root]
+    # the same side in both trees maps at once, without a call per host;
+    # the others are tried once each, in order of first appearance
+    return query in hosts or any(table.can_map(query, h) for h in dict.fromkeys(hosts))

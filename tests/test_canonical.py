@@ -12,6 +12,7 @@ from colored_prufer import (
     full_ld_array,
     reconstruct,
 )
+from colored_prufer import canonical
 from colored_prufer.errors import MalformedDescriptor
 from colored_prufer.oracle import random_trees
 
@@ -89,13 +90,101 @@ def _caterpillar(spine, seed):
     return build_tree(edges, colors)
 
 
+def _colored(edges, colors):
+    return build_tree(edges, dict(enumerate(colors)))
+
+
+def _complete_binary(n):
+    return _colored([((v - 1) // 2, v) for v in range(1, n)], [0] * n)
+
+
+def _broom(legs):
+    """Monochrome root with one leg of each given length."""
+    edges, n = [], 1
+    for length in legs:
+        edges.append((0, n))
+        edges += [(v, v + 1) for v in range(n, n + length - 1)]
+        n += length
+    return _colored(edges, [0] * n)
+
+
+def _path_to_star(handle, bristles):
+    """Monochrome path of ``handle`` vertices, its end holding ``bristles`` leaves."""
+    edges = [(v, v + 1) for v in range(handle - 1)]
+    edges += [(handle - 1, handle + k) for k in range(bristles)]
+    return _colored(edges, [0] * (handle + bristles))
+
+
+def _chain_leg_caterpillar(spine, seed):
+    """Monochrome spine, each vertex with up to three legs that are
+    monochrome 2-vertex chains, so every spine family holds a tie."""
+    rng = random.Random(seed)
+    edges = [(v, v + 1) for v in range(spine - 1)]
+    n = spine
+    for v in range(spine):
+        for _ in range(rng.randint(0 if v < spine - 1 else 2, 3)):
+            edges += [(v, n), (n, n + 1)]
+            n += 2
+    return _colored(edges, [0] * n)
+
+
+# Stored orders put canonically later siblings first, so both passes move them.
+TIE_UNDER_UNTIED = _colored(
+    # the root's family sorts by color alone; vertex 2's two color-0
+    # inner children tie on (color, has children)
+    [(0, 3), (0, 2), (0, 1), (2, 4), (2, 5), (4, 6), (6, 7), (5, 8), (3, 9), (3, 10)],
+    [0, 1, 0, 2, 0, 0, 1, 0, 0, 1, 0],
+)
+UNTIED_UNDER_TIE = _colored(
+    # the root's two color-1 children tie; below them, families of four
+    # and two with no tie of their own
+    [(0, 2), (0, 1), (1, 7), (1, 6), (1, 3), (1, 5), (3, 4), (7, 8), (2, 10), (2, 9), (10, 11)],
+    [0, 1, 1, 2, 0, 0, 2, 1, 1, 0, 2, 1],
+)
+TIE_PASS_SHAPES = {
+    "tie under an untied family": (TIE_UNDER_UNTIED, True),
+    "untied family under a tie": (UNTIED_UNDER_TIE, True),
+    "monochrome complete binary, 255": (_complete_binary(255), True),
+    "monochrome complete binary, 300": (_complete_binary(300), True),
+    "monochrome broom": (_broom([3, 1, 2, 3, 5, 2, 1]), True),
+    "path ending in a star": (_path_to_star(40, 30), False),
+    "caterpillar with chain legs": (_chain_leg_caterpillar(60, seed=22), True),
+    "path": (_path(50), False),
+    "caterpillar with leaf legs": (_caterpillar(60, seed=23), False),
+}
+
+
+def _builds_ids(tree, monkeypatch):
+    """Whether ``sorted_siblings`` runs its tie pass on ``tree``."""
+    calls = []
+    break_ties = canonical._break_ties
+    monkeypatch.setattr(canonical, "_break_ties", lambda *args: calls.append(break_ties(*args)))
+    canonical.sorted_siblings(tree)
+    monkeypatch.undo()
+    return bool(calls)
+
+
 # --- differential checks against materialized descriptors ---------------------
 
 
-@pytest.mark.parametrize("colors", [1, 2])
-def test_order_and_descriptor_match_materialized_on_random_trees(colors):
-    for t in random_trees(60, 150, colors, seed=20 + colors):
+@pytest.mark.parametrize("colors", [1, 2, 3, 4])
+def test_order_and_descriptor_match_materialized_on_random_trees(colors, monkeypatch):
+    trees = random_trees(60, 150, colors, seed=20 + colors)
+    for t in trees:
         _assert_matches_materialized(t)
+    # with more colors, most trees build no id: both passes are checked
+    with_ids = sum(_builds_ids(t, monkeypatch) for t in trees)
+    assert 0 < with_ids < len(trees)
+
+
+@pytest.mark.parametrize("name", TIE_PASS_SHAPES)
+def test_shapes_mixing_both_passes_match_materialized(name, monkeypatch):
+    tree, builds_ids = TIE_PASS_SHAPES[name]
+    assert _builds_ids(tree, monkeypatch) is builds_ids
+    _assert_matches_materialized(tree)
+    rng = random.Random(24)
+    for _ in range(5):
+        _assert_matches_materialized(_permuted(tree, rng))
 
 
 @pytest.mark.parametrize("odd_tip_first", [True, False])

@@ -399,7 +399,7 @@ def _caterpillar_tree(spine, rng):
 def _one_set_shuffled_order(tree, rng):
     """The canonical DFS order, but with the children of one random
     vertex visited in random order."""
-    visit = dict(enumerate(sorted_siblings(tree)[0]))
+    visit = dict(enumerate(sorted_siblings(tree)))
     v = rng.choice([v for v, kids in visit.items() if len(kids) > 1])
     visit[v] = rng.sample(visit[v], len(visit[v]))
     return _dfs_order_visiting(tree, visit)
