@@ -25,15 +25,13 @@ from .codec import (
     validate_code,
 )
 from .corpus import (
-    CorpusPoset,
     IsoClass,
     most_representative,
     partition_by_isomorphism,
-    subtree_poset,
+    poset_pairs,
 )
 from .matching import (
     code_adjacent,
-    codes_isomorphic,
     is_subarborescence,
     subtree_search,
     undirected_subtree,
@@ -50,10 +48,7 @@ from .trees import (
     ColoredArborescence,
     build_tree,
     iter_corpus,
-    leaves,
     load_color_table,
-    parse_corpus,
-    subtree_vertices,
     tree_to_json,
     write_corpus,
 )
@@ -61,7 +56,6 @@ from .trees import (
 __all__ = [
     "CanonicalOrder",
     "ColoredArborescence",
-    "CorpusPoset",
     "GenParams",
     "IsoClass",
     "PruneTrace",
@@ -72,7 +66,6 @@ __all__ = [
     "canonicalize",
     "classical_prufer",
     "code_adjacent",
-    "codes_isomorphic",
     "decode",
     "encode",
     "encode_canonical",
@@ -81,18 +74,15 @@ __all__ = [
     "has_embedding",
     "is_subarborescence",
     "iter_corpus",
-    "leaves",
     "load_color_table",
     "most_representative",
-    "parse_corpus",
     "partition_by_isomorphism",
+    "poset_pairs",
     "prufer_to_edges",
     "prune_labels",
     "random_corpus",
     "random_trees",
     "reconstruct",
-    "subtree_poset",
-    "subtree_vertices",
     "subtree_search",
     "tree_to_json",
     "undirected_subtree",

@@ -1,7 +1,7 @@
 """Code-level predicates: isomorphism, adjacency, and subtree matching.
 
 Two colored arborescences are isomorphic exactly when their codes are
-identical arrays.
+identical arrays, so ``==`` between codes decides it.
 
 Sub-arborescence containment is decided exactly, on the code rows.  The
 parents row spells out the prune-step tree (see below), and children are
@@ -50,11 +50,6 @@ class Rooted(NamedTuple):
 
     ids: list[int]
     kids: list[Sequence[int]]
-
-
-def codes_isomorphic(p: Vcpc, q: Vcpc) -> bool:
-    """True iff the two codes are identical arrays."""
-    return p.n == q.n and p.parents == q.parents and p.colors == q.colors
 
 
 def code_adjacent(p: Vcpc, i: int, j: int) -> bool:

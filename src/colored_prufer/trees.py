@@ -4,7 +4,7 @@ A tree is stored with vertex ids normalized to ``0..n-1`` (sorted order of
 the original ids, so the root keeps the id of its sorted position) and
 per-vertex children tuples sorted ascending.  Children order carries no
 semantics; every meaningful order comes from canonicalization.  Instances
-are frozen and hashable, so they can serve as cache keys.
+are frozen and hashable.
 """
 
 from __future__ import annotations
@@ -202,24 +202,6 @@ def _edge_fault(edges) -> TreeStructureError:
         parent[c] = p
 
 
-def leaves(tree: ColoredArborescence) -> set[VertexId]:
-    """Vertices with out-degree zero (in-degree is at most one by invariant)."""
-    return {v for v in range(tree.n) if not tree.children[v]}
-
-
-def subtree_vertices(tree: ColoredArborescence, apex: VertexId) -> set[VertexId]:
-    """The apex together with all of its descendants (its out-component)."""
-    if not 0 <= apex < tree.n:
-        raise IndexError(f"apex {apex} not a vertex of the tree")
-    result = set()
-    stack = [apex]
-    while stack:
-        v = stack.pop()
-        result.add(v)
-        stack.extend(tree.children[v])
-    return result
-
-
 # --- JSONL corpus format ------------------------------------------------------
 #
 # One tree per line:
@@ -393,11 +375,3 @@ def iter_corpus(
         except TreeStructureError as exc:
             raise ValidationError(line_no, exc) from exc
         yield tree
-
-
-def parse_corpus(
-    source: IO[str] | IO[bytes] | Iterable[str] | Iterable[bytes],
-    color_table: Mapping[str, int] | None = None,
-) -> list[ColoredArborescence]:
-    """Parse a whole JSONL corpus, preserving input order."""
-    return list(iter_corpus(source, color_table))

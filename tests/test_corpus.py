@@ -15,15 +15,19 @@ from colored_prufer import (
     is_subarborescence,
     most_representative,
     partition_by_isomorphism,
+    poset_pairs,
     random_trees,
-    subtree_poset,
     subtree_search,
 )
-from colored_prufer.corpus import poset_pairs
 from colored_prufer.errors import NoEligibleClass
 from colored_prufer.matching import SubtreeTable
 
 from golden import automorphic_tree, subtree_host_1, vcpc_build_tree
+
+
+def _below(classes):
+    """The poset as a dict: witness per ``(below, above)`` pair."""
+    return {(a, b): w for a, b, w in poset_pairs(classes)}
 
 
 def test_partition_groups_relabelings():
@@ -59,17 +63,16 @@ def test_partition_matches_brute_grouping():
 
 def test_poset_golden_edge_and_reflexivity():
     classes = partition_by_isomorphism([vcpc_build_tree(), subtree_host_1()])
-    poset = subtree_poset(classes)
-    assert (0, 1) in poset.below
-    assert (0, 0) in poset.below and (1, 1) in poset.below
-    assert (1, 0) not in poset.below
-    assert poset.below[(0, 1)] == (2, 5, 6, 8, 9)
+    below = _below(classes)
+    assert (0, 1) in below
+    assert (0, 0) in below and (1, 1) in below
+    assert (1, 0) not in below
+    assert below[(0, 1)] == (2, 5, 6, 8, 9)
 
 
 def test_poset_matches_pairwise_checks_and_order_invariance():
     trees = random_trees(7, 150, 3, seed=52)
     classes = partition_by_isomorphism(trees)
-    poset = subtree_poset(classes)
 
     reps = {c.class_id: c.representative for c in classes}
     expected = set()
@@ -79,36 +82,37 @@ def test_poset_matches_pairwise_checks_and_order_invariance():
         elif reps[a].n <= reps[b].n:
             if is_subarborescence(reps[a], reps[b]) is not None:
                 expected.add((a, b))
-    assert poset.relation() == expected
+    assert _below(classes).keys() == expected
 
     shuffled = classes[:]
     random.Random(0).shuffle(shuffled)
-    assert subtree_poset(shuffled).relation() == expected
+    assert _below(shuffled).keys() == expected
 
 
 def test_poset_matches_unordered_oracle():
     trees = random_trees(7, 120, 3, seed=53)
     classes = partition_by_isomorphism(trees)
-    poset = subtree_poset(classes)
+    below = _below(classes)
     rep_tree = {c.class_id: decode(c.representative) for c in classes}
     size = {c.class_id: c.representative.n for c in classes}
     for a, b in itertools.product(rep_tree, repeat=2):
         if a == b or size[a] > size[b]:
             continue
-        assert ((a, b) in poset.below) == has_embedding(
+        assert ((a, b) in below) == has_embedding(
             rep_tree[a], rep_tree[b], ordered=False
         )
 
 
 def test_poset_pairs_stream_in_class_id_order():
     classes = partition_by_isomorphism(random_trees(7, 150, 3, seed=52))
-    below = subtree_poset(classes).below
+    below = _below(classes)
     ids = list(range(len(classes)))
     random.Random(1).shuffle(ids)
     relabeled = [replace(cls, class_id=ids[cls.class_id]) for cls in classes]
     random.Random(2).shuffle(relabeled)
     pairs = list(poset_pairs(relabeled))
-    assert pairs == [(a, b, w) for (a, b), w in sorted(subtree_poset(relabeled).below.items())]
+    keys = [(a, b) for a, b, _ in pairs]
+    assert keys == sorted(set(keys))
     assert {(a, b): w for a, b, w in pairs} == {
         (ids[a], ids[b]): w for (a, b), w in below.items()
     }
@@ -117,7 +121,7 @@ def test_poset_pairs_stream_in_class_id_order():
 def test_duplicate_representatives_are_both_found():
     trees = random_trees(7, 150, 3, seed=52)
     classes = partition_by_isomorphism(trees)
-    below = subtree_poset(classes).below
+    below = _below(classes)
     new = len(classes)
     for k in (0, 1, 2, len(classes) - 1):
         twin = replace(classes[k], class_id=new, size=5)
@@ -127,7 +131,7 @@ def test_duplicate_representatives_are_both_found():
             for a2 in (a, new) if a == k else (a,):
                 for b2 in (b, new) if b == k else (b,):
                     expected[(a2, b2)] = witness
-        assert subtree_poset(classes + [twin]).below == expected
+        assert _below(classes + [twin]) == expected
         # most-common reads trees: a relabeled copy of k's first tree under
         # another id joins k's class instead of making a twin class
         first = trees[[t.tree_id for t in trees].index(classes[k].member_ids[0])]
@@ -159,9 +163,8 @@ def test_poset_witnesses_along_a_chain_of_nested_stars():
 
     trees = [star(k) for k in range(1, 6)]
     classes = partition_by_isomorphism(trees)
-    poset = subtree_poset(classes)
     reps = {c.class_id: c.representative for c in classes}
-    for (a, b), witness in poset.below.items():
+    for a, b, witness in poset_pairs(classes):
         assert len(witness) == reps[a].n
         assert list(witness) == sorted(witness)
         assert [reps[b].colors[i] for i in witness] == list(reps[a].colors)
@@ -170,7 +173,7 @@ def test_poset_witnesses_along_a_chain_of_nested_stars():
 def test_poset_closure_is_transitive():
     trees = random_trees(6, 120, 2, seed=54)
     classes = partition_by_isomorphism(trees)
-    relation = subtree_poset(classes).relation()
+    relation = _below(classes).keys()
     for a, b in relation:
         for c, d in relation:
             if b == c:
@@ -187,18 +190,18 @@ def _searched_relation(classes):
     }
 
 
-def _assert_witnesses_keep_colors(poset):
-    reps = {c.class_id: c.representative for c in poset.classes}
-    for (a, b), witness in poset.below.items():
+def _assert_witnesses_keep_colors(classes, below):
+    reps = {c.class_id: c.representative for c in classes}
+    for (a, b), witness in below.items():
         assert len(set(witness)) == reps[a].n
         assert [reps[b].colors[i] for i in witness] == list(reps[a].colors)
 
 
 def test_poset_sweep_is_sound_and_complete_on_three_colors():
     classes = partition_by_isomorphism(random_trees(12, 160, 3, seed=57))
-    poset = subtree_poset(classes)
-    assert poset.relation() == _searched_relation(classes)
-    _assert_witnesses_keep_colors(poset)
+    below = _below(classes)
+    assert below.keys() == _searched_relation(classes)
+    _assert_witnesses_keep_colors(classes, below)
 
 
 def test_poset_sweep_keeps_repeated_children_apart():
@@ -215,12 +218,12 @@ def test_poset_sweep_keeps_repeated_children_apart():
     twins = build_tree([(0, 1), (0, 2)], {0: 0, 1: 1, 2: 1})
     one_twin = build_tree([(0, 1), (0, 2), (0, 3)], {0: 0, 1: 1, 2: 2, 3: 2})
     classes = partition_by_isomorphism([query, host_a, host_b, twins, one_twin])
-    poset = subtree_poset(classes)
-    relation = poset.relation()
+    below = _below(classes)
+    relation = below.keys()
     assert (0, 1) not in relation and (0, 2) in relation
     assert (3, 4) not in relation and (3, 1) not in relation and (3, 2) in relation
     assert relation == _searched_relation(classes)
-    _assert_witnesses_keep_colors(poset)
+    _assert_witnesses_keep_colors(classes, below)
 
 
 def test_poset_sweep_on_unary_chains_and_below_the_root():
@@ -232,12 +235,22 @@ def test_poset_sweep_on_unary_chains_and_below_the_root():
     trees += [path([1, 0]), path([0, 1, 0]), path([0, 0, 1]), path([0, 0, 0, 1])]
     trees.append(build_tree([(0, 1), (1, 2), (1, 3)], {0: 5, 1: 1, 2: 0, 3: 2}))
     classes = partition_by_isomorphism(trees)
-    poset = subtree_poset(classes)
-    relation = poset.relation()
+    below = _below(classes)
+    relation = below.keys()
     assert {(0, 4), (1, 4), (5, 6), (7, 8), (5, 9)} <= relation
     assert (5, 0) not in relation and (7, 6) not in relation
     assert relation == _searched_relation(classes)
-    _assert_witnesses_keep_colors(poset)
+    _assert_witnesses_keep_colors(classes, below)
+
+
+def test_one_shot_stream_gives_the_list_results():
+    # the CLI hands both functions its parse generator, which can be read once
+    trees = random_trees(8, 200, 3, seed=59)
+    trees = [replace(t, tree_id=None) if k % 3 == 0 else t for k, t in enumerate(trees)]
+    assert partition_by_isomorphism(iter(trees)) == partition_by_isomorphism(trees)
+    for max_order in (1, 4, 8):
+        streamed = most_representative((t for t in trees), max_order)
+        assert streamed == most_representative(trees, max_order)
 
 
 def test_most_representative_two_paths():
@@ -261,7 +274,6 @@ def test_most_representative_single_class():
 def test_most_representative_counts_match_exhaustive():
     trees = random_trees(6, 60, 2, seed=56)
     classes = partition_by_isomorphism(trees)
-    poset = subtree_poset(classes)
     best, count = most_representative(trees, max_order=6)
     reps = {c.class_id: c.representative for c in classes}
     sizes = {c.class_id: c.size for c in classes}
@@ -278,7 +290,7 @@ def test_most_representative_counts_match_exhaustive():
     assert count == exhaustive(best.class_id)
     assert count == max(exhaustive(c.class_id) for c in classes)
     # monotone: anything below another class is at least as common
-    for a, b in poset.below:
+    for a, b, _ in poset_pairs(classes):
         if a != b:
             assert exhaustive(a) >= exhaustive(b)
 
@@ -391,7 +403,7 @@ def _poset_counts(trees):
     contain it, summed over the poset's pairs."""
     classes = partition_by_isomorphism(trees)
     counts = [0] * len(classes)
-    for a, b in subtree_poset(classes).below:
+    for a, b, _ in poset_pairs(classes):
         counts[a] += classes[b].size
     return classes, counts
 

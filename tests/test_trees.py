@@ -10,9 +10,8 @@ import pytest
 
 from colored_prufer import (
     build_tree,
-    leaves,
+    iter_corpus,
     load_color_table,
-    parse_corpus,
     tree_to_json,
     write_corpus,
 )
@@ -43,8 +42,7 @@ def test_build_infers_root_and_normalizes():
 
 def test_build_single_vertex():
     t = build_tree([], {0: 5})
-    assert (t.n, t.root, t.colors) == (1, 0, (5,))
-    assert leaves(t) == {0}
+    assert (t.n, t.root, t.colors, t.children) == (1, 0, (5,), ((),))
 
 
 def _build_error(edges, colors, root=None):
@@ -210,24 +208,18 @@ def test_build_edge_order_independent():
     assert build_tree(iter(edges), colors) == reference  # any iterable of edges
 
 
-def test_leaves_shapes():
-    path = build_tree([(0, 1), (1, 2)], {0: 0, 1: 0, 2: 0})
-    assert leaves(path) == {2}
-    star = build_tree([(0, 1), (0, 2), (0, 3)], {v: 0 for v in range(4)})
-    assert leaves(star) == {1, 2, 3}
-
-
 def test_structural_invariants_on_random_trees():
     for t in random_trees(9, 60, 3, seed=2):
         parent = t.parent_map()
         assert parent[t.root] is None
         assert sum(1 for p in parent if p is not None) == t.n - 1
         assert len(t.bfs_order()) == t.n
-        assert leaves(t)
+        pruning_leaf = {v for v in range(t.n) if not t.children[v]}
+        assert pruning_leaf
         # undirected leaves are the pruning leaves plus, when it has a
         # single child, the root (which is never eligible for pruning)
         undirected_leaf = {v for v, adjacent in enumerate(neighbors(t)) if len(adjacent) <= 1}
-        expected = leaves(t) | ({t.root} if len(t.children[t.root]) == 1 else set())
+        expected = pruning_leaf | ({t.root} if len(t.children[t.root]) == 1 else set())
         assert undirected_leaf == expected
 
 
@@ -238,20 +230,20 @@ def test_parse_corpus_roundtrip():
     trees = random_trees(6, 8, 3, seed=4)
     buffer = io.StringIO()
     write_corpus(trees, buffer)
-    parsed = parse_corpus(io.StringIO(buffer.getvalue()))
+    parsed = list(iter_corpus(io.StringIO(buffer.getvalue())))
     assert parsed == trees
     assert [p.tree_id for p in parsed] == [t.tree_id for t in trees]
 
 
 def test_parse_corpus_single_line_and_empty():
     line = json.dumps({"id": "a", "edges": [[0, 1]], "colors": {"0": 1, "1": 2}})
-    assert len(parse_corpus(io.StringIO(line + "\n"))) == 1
-    assert parse_corpus(io.StringIO("")) == []
+    assert len(list(iter_corpus(io.StringIO(line + "\n")))) == 1
+    assert list(iter_corpus(io.StringIO(""))) == []
 
 
 def test_parse_corpus_missing_colors_is_parse_error():
     with pytest.raises(ParseError) as err:
-        parse_corpus(io.StringIO('{"edges": [[0, 1]]}\n'))
+        list(iter_corpus(io.StringIO('{"edges": [[0, 1]]}\n')))
     assert err.value.line == 1
 
 
@@ -267,7 +259,7 @@ def test_parse_corpus_rejects_two_color_keys_for_one_vertex(colors, keys):
     good = json.dumps({"edges": [[0, 1]], "colors": {"0": 1, "1": 2}})
     bad = json.dumps({"edges": [[0, 1]], "colors": colors})
     with pytest.raises(ParseError) as err:
-        parse_corpus(io.StringIO(f"{good}\n{bad}\n"))
+        list(iter_corpus(io.StringIO(f"{good}\n{bad}\n")))
     assert err.value.line == 2
     assert str(err.value) == f"line 2: vertex 1 has two color keys {keys}"
 
@@ -278,7 +270,7 @@ def test_parse_corpus_validation_error_carries_line_and_cause():
         json.dumps({"edges": [[0, 1], [1, 0]], "colors": {"0": 1, "1": 2}}),
     ]
     with pytest.raises(ValidationError) as err:
-        parse_corpus(io.StringIO("\n".join(lines)))
+        list(iter_corpus(io.StringIO("\n".join(lines))))
     assert err.value.line == 2
     assert isinstance(err.value.cause, CycleDetected)
 
@@ -287,10 +279,10 @@ def test_parse_corpus_color_table():
     line = json.dumps(
         {"edges": [[0, 1]], "colors": {"0": "blue", "1": "red"}}
     )
-    [t] = parse_corpus(io.StringIO(line), color_table={"blue": 0, "red": 2})
+    [t] = iter_corpus(io.StringIO(line), color_table={"blue": 0, "red": 2})
     assert t.colors == (0, 2)
     with pytest.raises(ParseError):
-        parse_corpus(io.StringIO(line), color_table={"blue": 0})
+        list(iter_corpus(io.StringIO(line), color_table={"blue": 0}))
 
 
 @pytest.mark.parametrize(
@@ -304,7 +296,7 @@ def test_parse_corpus_color_table():
 )
 def test_parse_corpus_rejects_json_booleans_as_integers(obj):
     with pytest.raises(ParseError):
-        parse_corpus(io.StringIO(json.dumps(obj)))
+        list(iter_corpus(io.StringIO(json.dumps(obj))))
 
 
 def test_load_color_table_rejects_booleans_and_bad_json():
@@ -317,11 +309,11 @@ def test_load_color_table_rejects_booleans_and_bad_json():
 def test_parse_corpus_bytes_and_root_check():
     obj = {"root": 0, "edges": [[0, 1]], "colors": {"0": 1, "1": 1}}
     raw = (json.dumps(obj) + "\n").encode()
-    [t] = parse_corpus(io.BytesIO(raw))
+    [t] = iter_corpus(io.BytesIO(raw))
     assert t.root == 0
     obj["root"] = 1
     with pytest.raises(ValidationError):
-        parse_corpus(io.StringIO(json.dumps(obj)))
+        list(iter_corpus(io.StringIO(json.dumps(obj))))
 
 
 def test_tree_json_shape():
@@ -398,7 +390,7 @@ def test_iter_corpus_matches_build_tree_on_random_corpora():
                 objs.append(obj)
                 expected.append(build_tree(**args))
         text = "".join(json.dumps(obj) + "\n" for obj in objs)
-        assert [_fields(t) for t in parse_corpus(io.StringIO(text))] == [
+        assert [_fields(t) for t in iter_corpus(io.StringIO(text))] == [
             _fields(t) for t in expected
         ]
 
@@ -417,13 +409,13 @@ def test_iter_corpus_indexes_ids_0_to_n_minus_1_without_relabeling(monkeypatch):
         obj["colors"] = {key: obj["colors"][key] for key in keys}
         lines.append(json.dumps(obj))
     monkeypatch.setattr("colored_prufer.trees._relabel", fail)
-    assert [_fields(t) for t in parse_corpus(lines)] == [_fields(t) for t in trees]
+    assert [_fields(t) for t in iter_corpus(lines)] == [_fields(t) for t in trees]
     edges = [(u, v) for u in range(trees[0].n) for v in trees[0].children[u]]
     assert build_tree(edges, dict(enumerate(trees[0].colors))) == trees[0]
     # shifted ids go through the relabel step, which this test has disabled
     shifted = json.dumps({"edges": [[1, 2]], "colors": {"1": 0, "2": 0}})
     with pytest.raises(AssertionError, match="relabeled"):
-        parse_corpus(io.StringIO(shifted))
+        list(iter_corpus(io.StringIO(shifted)))
 
 
 def _mutate(obj, ids, rng):
@@ -475,12 +467,12 @@ def test_iter_corpus_matches_build_tree_on_random_faults():
                 expected = build_tree(*args)
             except ColoredPruferError as exc:
                 with pytest.raises(ValidationError) as err:
-                    parse_corpus([json.dumps(obj)])
+                    list(iter_corpus([json.dumps(obj)]))
                 cause = err.value.cause
                 assert (type(cause), str(cause)) == (type(exc), str(exc)), obj
                 outcomes.append(type(exc).__name__)
             else:
-                [parsed] = parse_corpus([json.dumps(obj)])
+                [parsed] = iter_corpus([json.dumps(obj)])
                 assert _fields(parsed) == _fields(expected), obj
                 outcomes.append("tree")
     # every fault the edits can make shows up, and so do trees
@@ -575,7 +567,7 @@ _C4 = {"0": 0, "1": 1, "2": 2, "3": 3}
 def test_iter_corpus_fault_table(obj, error, cause, message):
     good = json.dumps({"id": "ok", "edges": [[0, 1]], "colors": {"0": 0, "1": 1}})
     with pytest.raises(ColoredPruferError) as err:
-        parse_corpus(io.StringIO(f"{good}\n{json.dumps(obj)}\n"))
+        list(iter_corpus(io.StringIO(f"{good}\n{json.dumps(obj)}\n")))
     assert type(err.value) is error
     assert err.value.line == 2
     assert type(getattr(err.value, "cause", None)) is (cause or type(None))
@@ -612,7 +604,7 @@ def test_iter_corpus_fault_table_on_shifted_ids(obj, error, cause, message):
         shifted["root"] = obj["root"] + 1000
     good = json.dumps({"id": "ok", "edges": [[0, 1]], "colors": {"0": 0, "1": 1}})
     with pytest.raises(ColoredPruferError) as err:
-        parse_corpus(io.StringIO(f"{good}\n{json.dumps(shifted)}\n"))
+        list(iter_corpus(io.StringIO(f"{good}\n{json.dumps(shifted)}\n")))
     assert type(err.value) is error
     assert err.value.line == 2
     assert type(err.value.cause) is cause
