@@ -224,11 +224,9 @@ def tree_to_json(tree: ColoredArborescence) -> dict:
 def tree_line(tree: ColoredArborescence, tree_id: str) -> str:
     """``json_line(tree_to_json(tree))`` with id ``tree_id``, and a newline,
     formatted directly from the int ids and colors; the id is escaped alike."""
-    edges = ["[%d,%d]" % (u, v) for u, kids in enumerate(tree.children) for v in kids]
-    colors = map('"%d":%d'.__mod__, enumerate(tree.colors))
-    return '{"id":%s,"root":%d,"edges":[%s],"colors":{%s}}\n' % (
-        json_line(tree_id), tree.root, ",".join(edges), ",".join(colors)
-    )
+    edges = ",".join([f"[{u},{v}]" for u, kids in enumerate(tree.children) for v in kids])
+    colors = ",".join([f'"{v}":{c}' for v, c in enumerate(tree.colors)])
+    return f'{{"id":{json_line(tree_id)},"root":{tree.root},"edges":[{edges}],"colors":{{{colors}}}}}\n'
 
 
 def write_corpus(trees: Iterable[ColoredArborescence], fp: IO[str]) -> None:

@@ -12,6 +12,7 @@ import pytest
 
 from colored_prufer import Vcpc, subtree_search, tree_to_json, write_corpus
 from colored_prufer.cli import main
+from colored_prufer.oracle import GenParams, random_corpus
 
 from golden import (
     subtree_host_1,
@@ -144,6 +145,66 @@ def test_decode_strict_non_canonical_second_line_names_its_line(cli):
     code, _, err = cli(["decode", "--strict"], f"{canonical}\n\n{swapped}\n")
     assert code == 2
     assert err == "error: line 3: code does not re-encode to itself\n"
+
+
+# --- output written before an input error ----------------------------------
+#
+# The commands read and write 256 lines at a time, yet after a faulty line
+# every line before it has been written, as if they went line by line.
+
+CYCLE = '{"edges": [[0,1],[1,0]], "colors": {"0": 1, "1": 1}}\n'
+NON_CANONICAL = json.dumps({"parents": [0, 0, None], "colors": [2, 1, 0], "n": 3}) + "\n"
+INVALID_CODE = json.dumps({"parents": [None, 0, None], "colors": [0, 0, 0], "n": 3}) + "\n"
+
+
+@pytest.fixture(scope="module")
+def thousand():
+    """1,000 trees of ``gen --m 30 --c 4 --seed 7``, one line each."""
+    return corpus_text(random_corpus(GenParams(m=30, N=1000, C=4, seed=7))).splitlines(True)
+
+
+def _with_line(lines, line_no, text):
+    return "".join(lines[: line_no - 1] + [text] + lines[line_no:])
+
+
+@pytest.mark.parametrize("command", ["encode", "canon"])
+@pytest.mark.parametrize("line_no, bad", [(300, CYCLE), (257, "{nope\n")], ids=["cycle", "json"])
+def test_input_error_writes_every_line_before_it(cli, thousand, command, line_no, bad):
+    _, clean, _ = cli([command], "".join(thousand))
+    code, out, err = cli([command], _with_line(thousand, line_no, bad))
+    assert code == 2 and err.startswith(f"error: line {line_no}: ")
+    assert out == "".join(clean.splitlines(True)[: line_no - 1])
+
+
+@pytest.mark.parametrize("bad", [NON_CANONICAL, INVALID_CODE], ids=["non-canonical", "invalid"])
+def test_decode_error_writes_every_line_before_it(cli, thousand, bad):
+    _, codes, _ = cli(["encode"], "".join(thousand))
+    _, clean, _ = cli(["decode", "--strict"], codes)
+    code, out, err = cli(["decode", "--strict"], _with_line(codes.splitlines(True), 300, bad))
+    assert code == 2 and err.startswith("error: line 300: ")
+    assert out == "".join(clean.splitlines(True)[:299])
+
+
+# code lines are shorter, so for decode the byte goes on line 400: the lines
+# handed over before it then end inside the second batch, as for the trees
+@pytest.mark.parametrize("command, line_no", [("encode", 300), ("canon", 300), ("decode", 400)])
+def test_non_utf8_line_writes_a_prefix_of_the_output(cli, thousand, tmp_path, command, line_no):
+    lines = thousand
+    if command == "decode":
+        lines = cli(["encode"], "".join(thousand))[1].splitlines(True)
+    _, clean, _ = cli([command], "".join(lines))
+    path = tmp_path / "bad.jsonl"
+    head, tail = "".join(lines[: line_no - 1]), "".join(lines[line_no - 1 :])
+    path.write_bytes(head.encode() + b"\xff" + tail.encode())
+    # the text layer decodes in chunks, so it hands over fewer lines than precede the byte
+    handed = 0
+    with pytest.raises(UnicodeDecodeError), open(path, encoding="utf-8") as fp:
+        for _ in fp:
+            handed += 1
+    assert 256 < handed < line_no - 1
+    code, out, err = cli([command, str(path)])
+    assert code == 2 and err.startswith("error: input is not valid UTF-8")
+    assert out == "".join(clean.splitlines(True)[:handed])
 
 
 # sha256 of each command's output on ``gen --m 30 --n 2000 --c 4 --seed 7``;

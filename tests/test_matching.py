@@ -64,11 +64,16 @@ def test_codes_isomorphic_detects_one_color_change():
 
 
 def test_codes_isomorphic_agrees_with_brute_force():
-    trees = random_trees(8, 120, 3, seed=31)
+    # monochrome, so that 327 pairs are isomorphic and 36 trees have two
+    # same-colored inner siblings, which the tie pass orders
+    trees = random_trees(10, 150, 1, seed=31)
     codes = [_code(t) for t in trees]
     keys = [brute_canonical(t) for t in trees]
+    verdicts = set()
     for i, j in itertools.combinations(range(len(trees)), 2):
         assert (codes[i] == codes[j]) == (keys[i] == keys[j])
+        verdicts.add(codes[i] == codes[j])
+    assert verdicts == {True, False}
 
 
 # --- adjacency ------------------------------------------------------------------
