@@ -2,8 +2,11 @@
 
 Commands read trees (or codes) one JSON object per line from a path or
 stdin and write one JSON object per line to stdout, :data:`BATCH` lines
-at a time; after an input error every line before the bad one has been
-written.  Exit codes: 0 success, 2 input error, 4 empty query result.
+at a time.  Every input is read as bytes by :func:`_input_lines` and
+decoded as UTF-8 line by line in :mod:`colored_prufer.trees`, so after
+any input error, a byte that is not UTF-8 included, every line before
+the bad one has been written.  Exit codes: 0 success, 2 input error,
+4 empty query result.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import functools
 import gc
 import sys
 import time
+from contextlib import nullcontext
 from itertools import chain, islice
 from typing import Iterable, Iterator
 
@@ -42,17 +46,16 @@ BATCH = 256
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json_line(obj))
-    sys.stdout.write("\n")
+    sys.stdout.write(json_line(obj) + "\n")
 
 
-def _input_lines(args) -> Iterator[str]:
-    """The lines of the input path, or of stdin for ``-``."""
-    if args.input in (None, "-"):
-        yield from sys.stdin
-        return
-    with open(args.input, "r", encoding="utf-8") as fp:
-        yield from fp
+def _input_lines(path: str) -> Iterator[bytes]:
+    """The lines of the file at ``path``, or of stdin for ``-``, as bytes
+    without their ends.  Lines end where text mode ends them: at LF, CRLF
+    and a lone CR."""
+    with nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as fp:
+        # each LF-ended chunk, split at the CRs it may hold
+        yield from chain.from_iterable(map(bytes.splitlines, fp))
 
 
 def _batches(items: Iterable) -> Iterator[list]:
@@ -75,11 +78,9 @@ def _batches(items: Iterable) -> Iterator[list]:
 
 def _read_trees(args) -> Iterator[list[ColoredArborescence]]:
     """The input's trees in batches."""
-    table = None
-    if getattr(args, "color_table", None):
-        with open(args.color_table, "r", encoding="utf-8") as fp:
-            table = load_color_table(fp)
-    yield from _batches(iter_corpus(_input_lines(args), table))
+    path = args.color_table
+    table = load_color_table(b"\n".join(_input_lines(path))) if path else None
+    yield from _batches(iter_corpus(_input_lines(args.input), table))
 
 
 def _each_tree(args) -> Iterator[ColoredArborescence]:
@@ -88,8 +89,7 @@ def _each_tree(args) -> Iterator[ColoredArborescence]:
 
 
 def _read_single_tree(path: str) -> ColoredArborescence:
-    with open(path, "r", encoding="utf-8") as fp:
-        trees = list(iter_corpus(fp))
+    trees = list(iter_corpus(_input_lines(path)))
     if len(trees) != 1:
         raise InvalidCode(f"{path}: expected exactly one tree, found {len(trees)}")
     return trees[0]
@@ -115,7 +115,7 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     position = 0
-    for batch in _batches(iter_json_lines(_input_lines(args))):
+    for batch in _batches(iter_json_lines(_input_lines(args.input))):
         lines = []
         try:
             for line_no, parsed in batch:
@@ -179,11 +179,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_subtree(args) -> int:
-    small = _read_single_tree(args.query)
-    large = _read_single_tree(args.host)
-    code_small, _ = encode_canonical(small)
-    code_large, _ = encode_canonical(large)
-    result = subtree_search(code_small, code_large)
+    small, large = map(_read_single_tree, (args.query, args.host))
+    result = subtree_search(encode_canonical(small)[0], encode_canonical(large)[0])
     _emit(
         {
             "is_subtree": result.witness is not None,
@@ -195,10 +192,8 @@ def cmd_subtree(args) -> int:
 
 
 def cmd_subtree_undirected(args) -> int:
-    small = _read_single_tree(args.query)
-    large = _read_single_tree(args.host)
-    verdict = undirected_subtree(small, large)
-    _emit({"is_subtree": verdict})
+    small, large = map(_read_single_tree, (args.query, args.host))
+    _emit({"is_subtree": undirected_subtree(small, large)})
     return EXIT_OK
 
 
@@ -232,7 +227,8 @@ def cmd_bench(args) -> int:
 
     vcpc_members = sorted(sorted(cls.member_ids) for cls in classes)
     oracle_members = sorted(
-        sorted(trees[i].tree_id or str(i) for i in group) for group in oracle_classes.values()
+        sorted(corpus_mod.member_name(trees[i], i) for i in group)
+        for group in oracle_classes.values()
     )
 
     report["vcpc"] = {
@@ -318,15 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("subtree", help="is tree A a sub-arborescence of tree B")
-    p.add_argument("query")
-    p.add_argument("host")
+    p.add_argument("query", help="JSONL path, or - for stdin")
+    p.add_argument("host", help="JSONL path, or - for stdin")
     p.set_defaults(func=cmd_subtree)
 
     p = sub.add_parser(
         "subtree-undirected", help="is tree A an undirected subtree of tree B"
     )
-    p.add_argument("query")
-    p.add_argument("host")
+    p.add_argument("query", help="JSONL path, or - for stdin")
+    p.add_argument("host", help="JSONL path, or - for stdin")
     p.set_defaults(func=cmd_subtree_undirected)
 
     p = sub.add_parser("bench", help="compare code path against oracle path")
@@ -350,9 +346,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ColoredPruferError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except UnicodeDecodeError as exc:
-        print(f"error: input is not valid UTF-8 ({exc.reason})", file=sys.stderr)
         return EXIT_INPUT
     finally:
         if enabled:

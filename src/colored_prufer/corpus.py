@@ -33,14 +33,18 @@ class IsoClass:
     size: int
 
 
+def member_name(tree: ColoredArborescence, position: int) -> str:
+    """The name of the corpus member at ``position``: its ``tree_id``, else the position."""
+    return tree.tree_id if tree.tree_id is not None else str(position)
+
+
 def partition_by_isomorphism(corpus: Iterable[ColoredArborescence]) -> list[IsoClass]:
     """Group a corpus, read once, by code equality; ids in first-appearance order."""
     groups: dict[Vcpc, list[str]] = {}
     for position, tree in enumerate(corpus):
         code, _ = encode_canonical(tree)
-        member = tree.tree_id if tree.tree_id is not None else str(position)
         # one lookup per tree: hashing a code hashes both of its rows
-        groups.setdefault(code, []).append(member)
+        groups.setdefault(code, []).append(member_name(tree, position))
     return [
         IsoClass(class_id=k, representative=code, member_ids=tuple(members), size=len(members))
         for k, (code, members) in enumerate(groups.items())
@@ -108,8 +112,7 @@ def most_representative(
     groups: dict[int, tuple[ColoredArborescence, list[int], list[str]]] = {}
     for position, tree in enumerate(corpus):
         down = table.intern_tree(tree)
-        member = tree.tree_id if tree.tree_id is not None else str(position)
-        groups.setdefault(down[tree.root], (tree, down, []))[2].append(member)
+        groups.setdefault(down[tree.root], (tree, down, []))[2].append(member_name(tree, position))
     if not groups:
         raise NoEligibleClass("the corpus has no trees")
     eligible = {root: k for k, root in enumerate(groups) if table.size[root] <= max_order}

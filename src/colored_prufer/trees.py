@@ -86,11 +86,7 @@ def build_tree(
     root; reachability; then by ascending id a missing color and (after
     ``int`` coerces every color) a negative one.
     """
-    return _build_tree(list(edges), colors, root, tree_id, coerce=True)
-
-
-def _build_tree(edges, colors, root, tree_id, coerce: bool) -> ColoredArborescence:
-    """:func:`build_tree`; the JSON reader, its colors checked, skips ``coerce``."""
+    edges = list(edges)
     n = len(colors)
     source_ids = range(n)
     found = None
@@ -105,12 +101,10 @@ def _build_tree(edges, colors, root, tree_id, coerce: bool) -> ColoredArborescen
     if len(colors) != len(source_ids):
         missing = next(v for v in source_ids if v not in colors)
         raise MissingColor(f"vertex {missing} has no color")
-    color_row = tuple(map(colors.__getitem__, source_ids))
-    if coerce:
-        color_row = tuple(map(int, color_row))
-        if min(color_row) < 0:
-            v, col = next(vc for vc in zip(source_ids, color_row) if vc[1] < 0)
-            raise MissingColor(f"vertex {v} has negative color {col}")
+    color_row = tuple(map(int, map(colors.__getitem__, source_ids)))
+    if min(color_row) < 0:
+        v, col = next(vc for vc in zip(source_ids, color_row) if vc[1] < 0)
+        raise MissingColor(f"vertex {v} has negative color {col}")
     return ColoredArborescence(len(source_ids), *found, color_row, tree_id, tuple(source_ids))
 
 
@@ -234,9 +228,20 @@ def write_corpus(trees: Iterable[ColoredArborescence], fp: IO[str]) -> None:
         fp.write(tree_line(tree, tree.tree_id if tree.tree_id is not None else ""))
 
 
-def parse_json(text: str, line: int | None = None) -> object:
-    """Parse one JSON document; any failure is a :class:`ParseError` at
-    ``line`` (one line of a JSONL stream), else at the faulty line."""
+def _utf8(raw: bytes, line: int | None) -> str:
+    """``raw`` as UTF-8 text; a bad byte is a :class:`ParseError` at ``line``, else at its own."""
+    try:
+        return raw.decode()
+    except UnicodeDecodeError as exc:
+        line = line or raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line, f"not valid UTF-8 ({exc.reason})") from None
+
+
+def parse_json(text: str | bytes, line: int | None = None) -> object:
+    """Parse one JSON document, bytes as UTF-8; any failure is a :class:`ParseError`
+    at ``line`` (one line of a JSONL stream), else at the faulty line."""
+    if isinstance(text, bytes):
+        text = _utf8(text, line)
     try:
         return json.loads(text)
     except ValueError as exc:  # also an integer literal over Python's digit limit
@@ -246,9 +251,11 @@ def parse_json(text: str, line: int | None = None) -> object:
         raise ParseError(line or 1, "JSON nested too deeply") from None
 
 
-def load_color_table(fp: IO[str]) -> dict[str, int]:
-    """Read a JSON map of color name -> nonnegative integer."""
-    table = parse_json(fp.read())
+def load_color_table(text: str | bytes) -> dict[str, int]:
+    """The JSON map of color name -> nonnegative integer that ``text``
+    holds, bytes decoded as UTF-8.  Any fault is a :class:`ParseError`,
+    at its line where it has one."""
+    table = parse_json(text)
     if not isinstance(table, dict) or any(
         not isinstance(k, str) or type(v) is not int or v < 0
         for k, v in table.items()
@@ -267,7 +274,7 @@ def _tree_from_json(
     When ``root`` and ``id`` have their types, the colors are nonnegative
     ints and the ids are ``0..n-1``, the fields are checked in bulk and the
     raw edges go straight to :func:`_scan`, which checks each entry.  Any
-    other object is read entry by entry and built by :func:`_build_tree`."""
+    other object is read entry by entry and built by :func:`build_tree`."""
     if not isinstance(obj, dict):
         raise ParseError(line, "expected a JSON object")
     if "colors" not in obj:
@@ -315,14 +322,11 @@ def _tree_from_json(
             vid = int(key)
         except ValueError:
             raise ParseError(line, f"non-integer vertex id {key!r}") from None
-        if type(value) is not int:  # the common case checks just the sign
-            if isinstance(value, str):
-                if color_table is None or value not in color_table:
-                    raise ParseError(line, f"unknown color name {value!r}")
-                value = color_table[value]
-            if type(value) is not int:
-                raise ParseError(line, f"bad color {value!r} for vertex {key}")
-        if value < 0:
+        if isinstance(value, str):
+            if color_table is None or value not in color_table:
+                raise ParseError(line, f"unknown color name {value!r}")
+            value = color_table[value]
+        if type(value) is not int or value < 0:
             raise ParseError(line, f"bad color {value!r} for vertex {key}")
         colors[vid] = value
     if len(colors) != len(raw_colors):
@@ -338,24 +342,23 @@ def _tree_from_json(
         raise ParseError(line, '"root" must be an integer')
     if tree_id is not None and not isinstance(tree_id, str):
         raise ParseError(line, '"id" must be a string')
-    return _build_tree(raw_edges, colors, root, tree_id or None, coerce=False)
+    return build_tree(raw_edges, colors, root, tree_id or None)
 
 
-def iter_json_lines(
-    source: IO[str] | IO[bytes] | Iterable[str] | Iterable[bytes],
-) -> Iterator[tuple[int, object]]:
+def iter_json_lines(source: Iterable[str] | Iterable[bytes]) -> Iterator[tuple[int, object]]:
     """Line number (from 1) and parsed JSON of every non-blank line of a
-    JSONL source; a bytes line is decoded as UTF-8 first.  A line that
-    does not parse is a :class:`ParseError` at its number."""
+    JSONL source, such as an open file; a bytes line is decoded as UTF-8
+    first.  A line that does not decode or parse is a :class:`ParseError`
+    at its number."""
     for line_no, raw in enumerate(source, start=1):
         if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
+            raw = _utf8(raw, line_no)
         if raw.strip():
             yield line_no, parse_json(raw, line_no)
 
 
 def iter_corpus(
-    source: IO[str] | IO[bytes] | Iterable[str] | Iterable[bytes],
+    source: Iterable[str] | Iterable[bytes],
     color_table: Mapping[str, int] | None = None,
 ) -> Iterator[ColoredArborescence]:
     """Stream trees from a JSONL source, one validated tree per line.

@@ -23,7 +23,8 @@ from golden import (
 
 
 def run_cli(args, stdin_text="", capsys=None, monkeypatch=None):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+    data = stdin_text if isinstance(stdin_text, bytes) else stdin_text.encode()
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -185,8 +186,9 @@ def test_decode_error_writes_every_line_before_it(cli, thousand, bad):
     assert out == "".join(clean.splitlines(True)[:299])
 
 
-# code lines are shorter, so for decode the byte goes on line 400: the lines
-# handed over before it then end inside the second batch, as for the trees
+# The byte lies inside the second batch, and past the 8 KiB a text reader
+# decodes at once: on line 300 of the trees, and on line 400 of the codes,
+# whose lines are shorter.  It is found on its own line, from a file or stdin.
 @pytest.mark.parametrize("command, line_no", [("encode", 300), ("canon", 300), ("decode", 400)])
 def test_non_utf8_line_writes_a_prefix_of_the_output(cli, thousand, tmp_path, command, line_no):
     lines = thousand
@@ -195,16 +197,32 @@ def test_non_utf8_line_writes_a_prefix_of_the_output(cli, thousand, tmp_path, co
     _, clean, _ = cli([command], "".join(lines))
     path = tmp_path / "bad.jsonl"
     head, tail = "".join(lines[: line_no - 1]), "".join(lines[line_no - 1 :])
+    assert len(head.encode()) > 8192
     path.write_bytes(head.encode() + b"\xff" + tail.encode())
-    # the text layer decodes in chunks, so it hands over fewer lines than precede the byte
-    handed = 0
-    with pytest.raises(UnicodeDecodeError), open(path, encoding="utf-8") as fp:
-        for _ in fp:
-            handed += 1
-    assert 256 < handed < line_no - 1
-    code, out, err = cli([command, str(path)])
-    assert code == 2 and err.startswith("error: input is not valid UTF-8")
-    assert out == "".join(clean.splitlines(True)[:handed])
+    for args, stdin in [([command, str(path)], ""), ([command], path.read_bytes())]:
+        code, out, err = cli(args, stdin)
+        assert code == 2 and err.startswith(f"error: line {line_no}: not valid UTF-8 (")
+        assert out == "".join(clean.splitlines(True)[: line_no - 1])
+
+
+# Lines end at LF, CRLF or a lone CR, and a line of U+00A0 alone is blank,
+# as in a file read in text mode.
+@pytest.mark.parametrize("command", ["encode", "decode"])
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_line_ends_and_unicode_blank_lines_read_as_in_text_mode(
+    cli, thousand, tmp_path, command, end
+):
+    lines = thousand[:40]
+    if command == "decode":
+        lines = cli(["encode"], "".join(lines))[1].splitlines(True)
+    text = "".join(lines[:10] + ["\u00a0\n"] + lines[10:29] + ["{nope\n"] + lines[29:])
+    plain, other = tmp_path / "lf.jsonl", tmp_path / "other.jsonl"
+    plain.write_bytes(text.encode())
+    other.write_bytes(text.replace("\n", end).encode())
+    code, out, err = cli([command, str(plain)])
+    assert code == 2 and err.startswith("error: line 31: invalid JSON")
+    assert out == cli([command], "".join(lines[:29]))[1]
+    assert cli([command, str(other)]) == (code, out, err)
 
 
 # sha256 of each command's output on ``gen --m 30 --n 2000 --c 4 --seed 7``;
@@ -404,6 +422,17 @@ def test_subtree_files(cli, tmp_path):
     assert cli(["subtree", str(query), str(host)])[0] == 2
 
 
+@pytest.mark.parametrize("command", ["subtree", "subtree-undirected"])
+def test_subtree_reads_a_dash_path_from_stdin(cli, tmp_path, command):
+    query, host = tmp_path / "query.jsonl", tmp_path / "host.jsonl"
+    query.write_text(json.dumps(tree_to_json(vcpc_build_tree())) + "\n")
+    host.write_text(json.dumps(tree_to_json(subtree_host_1())) + "\n")
+    expected = cli([command, str(query), str(host)])
+    assert expected[0] == 0 and json.loads(expected[1])["is_subtree"] is True
+    assert cli([command, "-", str(host)], query.read_text()) == expected
+    assert cli([command, str(query), "-"], host.read_text()) == expected
+
+
 def test_subtree_undirected_files(cli, tmp_path):
     # golden pair: not a sub-arborescence, yet an undirected subtree
     query = tmp_path / "q.jsonl"
@@ -468,13 +497,18 @@ def test_json_booleans_exit_2(cli, tmp_path):
     assert code == 2 and "error" in err
 
 
-@pytest.mark.parametrize("command, paths", [("encode", 1), ("decode", 1), ("subtree", 2)])
+@pytest.mark.parametrize(
+    "command, paths", [("encode", 1), ("decode", 1), ("subtree", 2), ("color-table", 1)]
+)
 def test_non_utf8_input_exit_2(cli, tmp_path, command, paths):
     bad = tmp_path / "bad.jsonl"
-    bad.write_bytes(b'\xff\xfe{"edges": [], "colors": {"0": 1}}\n')
-    code, out, err = cli([command] + [str(bad)] * paths)
+    bad.write_bytes(b'\n\xff\xfe{"edges": [], "colors": {"0": 1}}\n')  # line 2
+    args = [command] + [str(bad)] * paths
+    if command == "color-table":
+        args = ["encode", "-", "--color-table", str(bad)]
+    code, out, err = cli(args, '{"edges": [], "colors": {"0": 1}}\n')
     assert code == 2 and out == ""
-    assert err.startswith("error: input is not valid UTF-8") and err.count("\n") == 1
+    assert err.startswith("error: line 2: not valid UTF-8 (") and err.count("\n") == 1
 
 
 DEEP = "[" * 200_000 + "]" * 200_000

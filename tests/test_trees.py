@@ -300,10 +300,12 @@ def test_parse_corpus_rejects_json_booleans_as_integers(obj):
 
 
 def test_load_color_table_rejects_booleans_and_bad_json():
-    assert load_color_table(io.StringIO('{"blue": 0}')) == {"blue": 0}
+    assert load_color_table('{"blue": 0}') == load_color_table(b'{"blue": 0}') == {"blue": 0}
     for text in ('{"blue": true}', '{"blue": -1}', "[0]", "{nope"):
         with pytest.raises(ParseError):
-            load_color_table(io.StringIO(text))
+            load_color_table(text)
+    with pytest.raises(ParseError, match=r"^line 2: not valid UTF-8 \("):
+        load_color_table(b'{"blue": 0,\n"r\xffed": 1}')
 
 
 def test_parse_corpus_bytes_and_root_check():
@@ -314,6 +316,9 @@ def test_parse_corpus_bytes_and_root_check():
     obj["root"] = 1
     with pytest.raises(ValidationError):
         list(iter_corpus(io.StringIO(json.dumps(obj))))
+    # a line that is not UTF-8 is a parse error at its number
+    with pytest.raises(ParseError, match=r"^line 2: not valid UTF-8 \("):
+        list(iter_corpus(io.BytesIO(raw + b"\xff" + raw)))
 
 
 def test_tree_json_shape():
