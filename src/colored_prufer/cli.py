@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="tree per code")
-    _add_input(p)
+    p.add_argument("input", nargs="?", default="-", help="JSONL path, or - for stdin")
     p.add_argument("--strict", action="store_true", help="reject codes that are not canonical")
     p.set_defaults(func=cmd_decode)
 

@@ -6,9 +6,11 @@ relation pair: the representative's prune steps mapped to the larger
 representative's.  Both come from one bottom-up sweep over the
 representatives' shared subtree table, which finds every contained pair,
 so the relation is never incomplete and is transitively closed as found.
-The most common class is counted from the same kind of sweep, over a
-table of the corpus trees themselves, grouped into classes by hash-consed
-root id; only the winner's tree is encoded.
+The most common class is found over a table of the corpus trees
+themselves, grouped into classes by hash-consed root id; only the
+winner's tree is encoded.  Support falls strictly up the order, so when
+every larger class holds a one- or two-vertex class only those are
+counted; otherwise the table is swept like the representatives'.
 """
 
 from __future__ import annotations
@@ -91,6 +93,29 @@ def subtree_poset(classes: Sequence[IsoClass]) -> dict[tuple[int, int], tuple[in
     return {(a, b): w for a, b, w in poset_pairs(classes)}
 
 
+def _minimal_counts(table: SubtreeTable, groups: dict, eligible: dict) -> dict[int, int] | None:
+    """The support of each eligible one-vertex class, and of each two-vertex
+    class neither of whose colors has one; ``None`` when a larger eligible
+    class holds none of their colors and edges, so that it may be minimal."""
+    size, color, kids = table.size, table.color, table.kids
+    small: dict = {color[root]: root for root in eligible if size[root] == 1}
+    edges = {(color[root], color[kids[root][0]]): root for root in eligible if size[root] == 2}
+    edges = {edge: root for edge, root in edges.items() if small.keys().isdisjoint(edge)}
+    small.update(edges)
+    counts = dict.fromkeys(small.values(), 0)
+    for root, (tree, _, members) in groups.items():
+        colors = tree.colors
+        held = small.keys() & colors
+        if edges:
+            pairs = {(colors[p], colors[c]) for p, out in enumerate(tree.children) for c in out}
+            held |= edges.keys() & pairs
+        if not held and root in eligible:
+            return None
+        for key in held:
+            counts[small[key]] += len(members)
+    return counts
+
+
 def most_representative(
     corpus: Iterable[ColoredArborescence], max_order: int
 ) -> tuple[IsoClass, int]:
@@ -99,9 +124,12 @@ def most_representative(
     The trees are hash-consed into one subtree table and grouped by root
     id, which gives the classes of :func:`partition_by_isomorphism`, ids
     and members included.  The count for class A sums the sizes of every
-    class whose first tree contains A's, A itself included, read from one
-    sweep of the table.  Ties favor the smaller class id.  Only the
-    winner's first tree is encoded, for its representative.  Raises
+    class whose first tree contains A's, A itself included.  When every
+    eligible class of three or more vertices holds an eligible one- or
+    two-vertex class, which then has a larger count, only those are
+    counted; otherwise all are, from one sweep of the table.  Ties favor
+    the smaller class id.  Only the winner's first tree is encoded, for
+    its representative.  Raises
     :class:`~colored_prufer.errors.NoEligibleClass` when the corpus has no
     trees or no class is small enough.
     """
@@ -120,11 +148,13 @@ def most_representative(
         raise NoEligibleClass(
             f"no class representative has at most {max_order} vertices"
         )
-    table.sweep()
-    counts = dict.fromkeys(eligible, 0)
-    for _, down, members in groups.values():
-        for root in eligible.keys() & table.contained(down):
-            counts[root] += len(members)
+    counts = _minimal_counts(table, groups, eligible)
+    if counts is None:
+        table.sweep()
+        counts = dict.fromkeys(eligible, 0)
+        for _, down, members in groups.values():
+            for root in eligible.keys() & table.contained(down):
+                counts[root] += len(members)
     best = min(counts, key=lambda root: (-counts[root], eligible[root]))
     tree, _, members = groups[best]
     code, _ = encode_canonical(tree)

@@ -307,7 +307,7 @@ def test_most_common_never_builds_the_poset(cli, monkeypatch):
     from colored_prufer.matching import SubtreeTable
 
     def refuse(*args, **kwargs):
-        raise AssertionError("most-common must count from the sweep alone")
+        raise AssertionError("most-common must count from the interned trees alone")
 
     encode_canonical = codec.encode_canonical
     encoded = []
@@ -477,6 +477,21 @@ def test_color_table_flag(cli, tmp_path):
     code, out, _ = cli(["encode", "-", "--color-table", str(table)], line)
     assert code == 0
     assert json.loads(out)["colors"] == [0, 2]
+
+
+def test_decode_color_table_is_a_usage_error(cli, tmp_path, capsys):
+    # codes carry integer colors: only the commands that read trees take the flag
+    table = tmp_path / "colors.json"
+    table.write_text('{"blue": 0}')
+    code_line = json.dumps({"parents": [0, None], "colors": [1, 0], "n": 2}) + "\n"
+    for path in (str(table), str(tmp_path / "missing.json")):
+        with pytest.raises(SystemExit) as exc:
+            cli(["decode", "-", "--color-table", path], code_line)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --color-table" in capsys.readouterr().err
+    tree_line = '{"edges": [[0,1]], "colors": {"0": "blue", "1": "blue"}}\n'
+    for command in ("canon", "encode", "iso-classes", "poset", "most-common"):
+        assert cli([command, "-", "--color-table", str(table)], tree_line)[0] == 0
 
 
 def test_json_booleans_exit_2(cli, tmp_path):

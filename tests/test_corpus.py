@@ -443,3 +443,46 @@ def test_most_representative_matches_counts_over_the_poset():
             assert most_representative(trees, max_order) == _expected_winner(
                 classes, counts, max_order
             )
+
+
+def test_most_representative_counts_small_classes_or_sweeps(monkeypatch):
+    # when every larger eligible class holds a one- or two-vertex class's
+    # color or edge, those are counted alone; otherwise the table is swept
+    sweeps = []
+    sweep = SubtreeTable.sweep
+
+    def spy(table):
+        sweeps.append(table)
+        return sweep(table)
+
+    monkeypatch.setattr(SubtreeTable, "sweep", spy)
+    routes = []
+    for m, c, seed in ((8, 2, 81), (10, 3, 82), (12, 4, 83), (12, 1, 84)):
+        for floor in (1, 2, 3, 8):
+            trees = [t for t in random_trees(m, 80, c, seed=seed) if t.n >= floor]
+            classes, counts = _poset_counts(trees)
+            for max_order in range(min(t.n for t in trees), 31):
+                sweeps.clear()
+                best = most_representative(trees, max_order)
+                assert best == _expected_winner(classes, counts, max_order)
+                routes.append(len(sweeps))
+    assert set(routes) == {0, 1}
+
+
+def test_most_representative_never_sweeps_past_a_small_class_of_every_color(monkeypatch):
+    trees = random_trees(12, 80, 3, seed=85)
+    colors = sorted({color for tree in trees for color in tree.colors})
+    alone = [build_tree([], {0: a}, tree_id=f"v{a}") for a in colors]
+    pairs = [build_tree([(0, 1)], {0: a, 1: b}, tree_id=f"e{a}{b}") for a in colors for b in colors]
+    # one vertex of every color, or (no tree of one vertex) an edge of every color pair
+    corpora = [trees + alone, [t for t in trees if t.n > 1] + pairs]
+    expected = [_poset_counts(corpus) for corpus in corpora]
+
+    def refuse(table):
+        raise AssertionError("a one- or two-vertex class of every color bounds every larger one")
+
+    monkeypatch.setattr(SubtreeTable, "sweep", refuse)
+    for corpus, (classes, counts) in zip(corpora, expected):
+        for max_order in range(min(t.n for t in corpus), 13):
+            best = most_representative(corpus, max_order)
+            assert best == _expected_winner(classes, counts, max_order)
